@@ -7,7 +7,7 @@ circuit a lifting tree together with branch-indexed output label contexts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Iterable, Mapping
 
@@ -38,7 +38,6 @@ from .trees import (
     leaf,
     lookup,
     map_leaves,
-    path_set,
     rename_lifted,
     var_set,
     var_sort_key,
@@ -365,8 +364,21 @@ def _args(v: MValue) -> str:
 
 @dataclass(frozen=True)
 class Circuit:
+    """An input header followed by instructions.
+
+    A circuit carries its signature state, one per gate set it was checked
+    against (see `SignatureState`).  The state is computed at most once per
+    circuit object: by folding `extend_signature` over every instruction on
+    the first `check_signature`, or, for a circuit returned by `append`, by
+    extending the input circuit's state with only the appended instructions.
+    The carried states take no part in equality or hashing.
+    """
+
     input: LabelContext
     instructions: tuple[Instruction, ...] = ()
+    _carried: dict[GateSet, SignatureState] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def extended(self, instr: Instruction) -> Circuit:
         return Circuit(self.input, self.instructions + (instr,))
@@ -417,55 +429,99 @@ class CircuitSignature:
         return lookup(self.outputs, a)
 
 
-def check_signature(c: Circuit, gateset: GateSet = DEFAULT_GATES) -> CircuitSignature:
-    """Derive the unique signature of c, or raise a specific CircuitError."""
-    tree: LiftingTree = trees.EMPTY_TREE
-    outputs: Lifted = leaf(c.input)
-    seen_labels = set(c.input.domain())
+class SignatureState:
+    """The state of the signature fold after a prefix of a circuit.
 
-    for ins in c.instructions:
-        if not is_consistent(tree, ins.cond):
-            raise InvalidBranch(f"condition {ins.cond} is not consistent with the lifted state at `{ins}`")
-        branches = extending_paths(tree, ins.cond)
-        if isinstance(ins, GateApp):
-            gate = gateset.get(ins.gate)
-            consumed = context_of_mvalue(ins.inputs, gate.in_type)
-            produced = context_of_mvalue(ins.outputs, gate.out_type)
-            stale = produced.domain() & seen_labels
-            if stale:
-                raise NonFreshOutput(f"output labels {sorted(stale)} already occur in the circuit at `{ins}`")
-            new_leaves = {}
-            for b in branches:
-                ctx = lookup(outputs, b)
-                for name, wire in consumed.entries:
-                    have = ctx.get(name)
-                    if have is None:
-                        raise UnboundLabel(f"label {name} is not live on branch {b} at `{ins}`")
-                    if have != wire:
-                        raise WrongWireType(f"label {name} is {have}, gate {gate.name} expects {wire} (branch {b})")
-                new_leaves[b] = ctx.remove(consumed.domain()).merge(produced)
-            outputs = trees.compose(outputs, new_leaves, new_leaves.keys())
-            seen_labels.update(produced.domain())
-        else:
-            assert isinstance(ins, LiftInstr)
-            live = var_set(tree, ins.cond)
-            if ins.var in live:
-                raise StaleLiftedVar(f"lifted variable {ins.var} already live on branch {ins.cond}")
-            reduced = {}
-            for b in branches:
-                ctx = lookup(outputs, b)
-                have = ctx.get(ins.wire)
+    `tree` and `outputs` are the prefix's lifting tree and branch-indexed
+    output contexts; `labels` is every label the prefix has used (its input
+    labels and every gate output), against which a new output must be fresh.
+    A state stored on a circuit is never changed again: `append` extends a
+    copy of it.
+    """
+
+    __slots__ = ("tree", "outputs", "labels")
+
+    def __init__(self, tree: LiftingTree, outputs: Lifted, labels: set[str]):
+        self.tree = tree
+        self.outputs = outputs
+        self.labels = labels
+
+    def copy(self) -> SignatureState:
+        return SignatureState(self.tree, self.outputs, set(self.labels))
+
+
+def extend_signature(state: SignatureState, ins: Instruction, gateset: GateSet = DEFAULT_GATES) -> None:
+    """Extend state in place by one instruction, or raise a specific CircuitError.
+
+    This is one step of the signature fold.  It reads only the state, never
+    the earlier instructions, so its cost depends on the lifting tree and the
+    live labels, not on the length of the circuit so far.
+    """
+    tree, outputs = state.tree, state.outputs
+    if not is_consistent(tree, ins.cond):
+        raise InvalidBranch(f"condition {ins.cond} is not consistent with the lifted state at `{ins}`")
+    branches = extending_paths(tree, ins.cond)
+    if isinstance(ins, GateApp):
+        gate = gateset.get(ins.gate)
+        consumed = context_of_mvalue(ins.inputs, gate.in_type)
+        produced = context_of_mvalue(ins.outputs, gate.out_type)
+        stale = produced.domain() & state.labels
+        if stale:
+            raise NonFreshOutput(f"output labels {sorted(stale)} already occur in the circuit at `{ins}`")
+        new_leaves = {}
+        for b in branches:
+            ctx = lookup(outputs, b)
+            for name, wire in consumed.entries:
+                have = ctx.get(name)
                 if have is None:
-                    raise UnboundLabel(f"label {ins.wire} is not live on branch {b} at `{ins}`")
-                if have != BIT:
-                    raise WrongWireType(f"lift needs a Bit wire, {ins.wire} is {have} (branch {b})")
-                reduced[b] = ctx.remove([ins.wire])
-            outputs = trees.compose(outputs, reduced, reduced.keys())
-            split = trees.TreeNode(ins.var, trees.EMPTY_TREE, trees.EMPTY_TREE)
-            outputs = graft_obj(outputs, ins.cond, split)
-            tree = graft(tree, ins.cond, split)
+                    raise UnboundLabel(f"label {name} is not live on branch {b} at `{ins}`")
+                if have != wire:
+                    raise WrongWireType(f"label {name} is {have}, gate {gate.name} expects {wire} (branch {b})")
+            new_leaves[b] = ctx.remove(consumed.domain()).merge(produced)
+        state.outputs = trees.compose(outputs, new_leaves, new_leaves.keys())
+        state.labels.update(produced.domain())
+        return
+    assert isinstance(ins, LiftInstr)
+    live = var_set(tree, ins.cond)
+    if ins.var in live:
+        raise StaleLiftedVar(f"lifted variable {ins.var} already live on branch {ins.cond}")
+    reduced = {}
+    for b in branches:
+        ctx = lookup(outputs, b)
+        have = ctx.get(ins.wire)
+        if have is None:
+            raise UnboundLabel(f"label {ins.wire} is not live on branch {b} at `{ins}`")
+        if have != BIT:
+            raise WrongWireType(f"lift needs a Bit wire, {ins.wire} is {have} (branch {b})")
+        reduced[b] = ctx.remove([ins.wire])
+    outputs = trees.compose(outputs, reduced, reduced.keys())
+    split = trees.TreeNode(ins.var, trees.EMPTY_TREE, trees.EMPTY_TREE)
+    state.outputs = graft_obj(outputs, ins.cond, split)
+    state.tree = graft(tree, ins.cond, split)
 
-    return CircuitSignature(tree, c.input, outputs)
+
+def _signature_state(c: Circuit, gateset: GateSet) -> SignatureState:
+    """c's carried state for gateset, folding its instructions on first use."""
+    state = c._carried.get(gateset)
+    if state is None:
+        state = SignatureState(trees.EMPTY_TREE, leaf(c.input), set(c.input.domain()))
+        for ins in c.instructions:
+            extend_signature(state, ins, gateset)
+        c._carried[gateset] = state
+    return state
+
+
+def check_signature(c: Circuit, gateset: GateSet = DEFAULT_GATES) -> CircuitSignature:
+    """Derive the unique signature of c, or raise a specific CircuitError.
+
+    The signature is the fold of `extend_signature` over c's instructions.
+    c carries the result, so only the first call on a circuit object does
+    that work (linear in c's length); later calls, and calls on a circuit
+    that `append` returned, cost O(1).  A failed check carries nothing and
+    raises again on every call.
+    """
+    state = _signature_state(c, gateset)
+    return CircuitSignature(state.tree, c.input, state.outputs)
 
 
 # ---------------------------------------------------------------------------
@@ -627,7 +683,7 @@ def boxed_equiv(b1: BoxedCircuit, b2: BoxedCircuit) -> bool:
 
 def insert(c: Circuit, a: Assignment, d: Circuit) -> Circuit:
     """Append d's instructions to c, each condition unioned with a (C ::_a D)."""
-    out = c
+    added: list[Instruction] = []
     for ins in d.instructions:
         if a.domain() & ins.cond.domain():
             raise AssignmentClash(
@@ -635,10 +691,10 @@ def insert(c: Circuit, a: Assignment, d: Circuit) -> Circuit:
             )
         cond = a.union(ins.cond)
         if isinstance(ins, GateApp):
-            out = out.extended(GateApp(cond, ins.gate, ins.inputs, ins.outputs))
+            added.append(GateApp(cond, ins.gate, ins.inputs, ins.outputs))
         else:
-            out = out.extended(LiftInstr(cond, ins.wire, ins.var))
-    return out
+            added.append(LiftInstr(cond, ins.wire, ins.var))
+    return Circuit(c.input, c.instructions + tuple(added))
 
 
 class FreshLabels:
@@ -715,11 +771,19 @@ def append(
     abstracted lifted variables with fresh_vars (positionally against the
     sorted binder order), and insert the result on branch a.  Returns the new
     circuit and the instantiated output tuples.
+
+    The preconditions are checked against c's carried signature state, and
+    the new circuit carries that state extended by the inserted instructions
+    alone, so the signature work of an append is proportional to the boxed
+    circuit, not to c (only copying c's instruction tuple and used-label set
+    is linear in c).  An inserted body that does not extend the signature
+    raises its CircuitError here.
     """
-    sig = check_signature(c, gateset)
-    if a not in set(path_set(sig.tree)):
-        raise PreconditionViolated(f"branch {a} is not a path of the circuit's lifting tree")
-    out_ctx = lookup(sig.outputs, a)
+    state = _signature_state(c, gateset)
+    try:
+        out_ctx = lookup(state.outputs, a)
+    except InvalidBranch:
+        raise PreconditionViolated(f"branch {a} is not a path of the circuit's lifting tree") from None
     target_labels = mvalue_labels(target)
     dup = {n for n in target_labels if target_labels.count(n) > 1}
     if dup:
@@ -735,20 +799,21 @@ def append(
         )
     if len(set(fresh_vars)) != len(fresh_vars):
         raise PreconditionViolated("fresh lifted variables must be pairwise distinct")
-    live = var_set(sig.tree, a)
+    live = var_set(state.tree, a)
     stale = set(fresh_vars) & live
     if stale:
         raise PreconditionViolated(f"lifted variables {sorted(stale)} already live on branch {a}")
 
     # step 1: relabel the boxed circuit onto the target wires, everything else fresh
+    # (the target labels are live, so they are among the used labels)
     mapping = match_tuples(boxed.in_tuple, target)
+    boxed_labels = boxed.circuit.all_labels()
     if labels is None:
-        labels = FreshLabels.above(c.all_labels(), boxed.circuit.all_labels())
-    taken = c.all_labels() | set(target_labels)
-    for name in sorted(boxed.circuit.all_labels() | set(mvalue_labels(boxed.in_tuple))):
+        labels = FreshLabels.above(state.labels, boxed_labels)
+    for name in sorted(boxed_labels | set(mvalue_labels(boxed.in_tuple))):
         if name not in mapping:
             fresh = labels.fresh()
-            while fresh in taken:
+            while fresh in state.labels:
                 fresh = labels.fresh()
             mapping[name] = fresh
     if len(set(mapping.values())) != len(mapping):
@@ -761,8 +826,13 @@ def append(
     body = rename_lifted_circuit(relabeled.circuit, pi)
     out_tuples = rename_lifted(relabeled.out_tuples, pi)
 
-    # step 3: insert on branch a
-    return insert(c, a, body), out_tuples
+    # step 3: insert on branch a, extending the carried state by the new instructions
+    out = insert(c, a, body)
+    extended = state.copy()
+    for ins in out.instructions[len(c.instructions):]:
+        extend_signature(extended, ins, gateset)
+    out._carried[gateset] = extended
+    return out, out_tuples
 
 
 # ---------------------------------------------------------------------------

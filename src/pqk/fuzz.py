@@ -9,6 +9,7 @@ apply, box and multi-branch lets reachable.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass, field
 
@@ -78,10 +79,16 @@ SEED_CIRCUITS = {
 
 
 def seed_boxes() -> dict[str, Boxed]:
-    return {
-        name: Boxed(boxed_from_circuit(parse_circuit_text(text)))
+    return dict(_parsed_seed_boxes())
+
+
+@functools.cache
+def _parsed_seed_boxes() -> tuple[tuple[str, Boxed], ...]:
+    """The seed circuits, parsed and checked once per process."""
+    return tuple(
+        (name, Boxed(boxed_from_circuit(parse_circuit_text(text))))
         for name, text in SEED_CIRCUITS.items()
-    }
+    )
 
 
 DEFAULT_WEIGHTS = {

@@ -93,24 +93,13 @@ EvalOutcome = Done | FuelExhausted | Stuck
 
 @dataclass
 class EvalEnv:
-    """Mutable per-evaluation state: fuel, fresh-name counters, rng seed.
-
-    The lifted-variable counter and seed are reserved (the core rules draw
-    lifted names from the program and randomness lives in the simulator).
-    """
+    """Mutable per-evaluation state: fuel, the fresh-label counter and findings."""
 
     fuel: int = DEFAULT_FUEL
     labels: FreshLabels = field(default_factory=FreshLabels)
-    lifted_var_counter: int = 0
-    seed: int | None = None
     gateset: GateSet = DEFAULT_GATES
     mutate_skip_let_flatten: bool = False
     findings: list[str] = field(default_factory=list)
-
-    def fresh_lifted_var(self) -> str:
-        name = f"#{self.lifted_var_counter}"
-        self.lifted_var_counter += 1
-        return name
 
 
 def freshlabels(env: EvalEnv, t: MType) -> tuple[LabelContext, MValue]:

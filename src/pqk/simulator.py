@@ -25,7 +25,7 @@ from .circuit import (
     check_signature,
     mvalue_labels,
 )
-from .errors import SimulationError, UnsupportedGate
+from .errors import InvalidBranch, SimulationError, UnsupportedGate
 from .trees import Assignment, lookup, path_set
 
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
@@ -189,10 +189,9 @@ def simulate(
     seed: int | np.random.Generator = 0,
     gateset: GateSet = DEFAULT_GATES,
     max_qubits: int = DEFAULT_MAX_QUBITS,
-    _signature=None,
 ) -> RunTrace:
     """Execute one run of c, sampling measurement outcomes."""
-    sig = _signature if _signature is not None else check_signature(c, gateset)
+    sig = check_signature(c, gateset)
     if init is None:
         init = QuantumState.product(c.input)
     in_qubits = {n for n, w in c.input.entries if w is QUBIT}
@@ -219,11 +218,12 @@ def simulate(
         _apply_gate(run, ins)
 
     path = Assignment.of(sampled)
-    if path not in set(path_set(sig.tree)):  # pragma: no cover - signature guarantees it
-        raise SimulationError(f"sampled assignment {path} is not a path of the lifting tree")
+    try:
+        expected = lookup(sig.outputs, path)
+    except InvalidBranch:  # pragma: no cover - signature guarantees it
+        raise SimulationError(f"sampled assignment {path} is not a path of the lifting tree") from None
     for ins, did_fire in zip(c.instructions, fired):
         assert did_fire == path.extends(ins.cond), "condition bookkeeping diverged"
-    expected = lookup(sig.outputs, path)
     live = set(run.order) | set(run.classical)
     if live != expected.domain():  # pragma: no cover - signature guarantees it
         raise SimulationError(f"live wires {sorted(live)} differ from signature {expected}")
@@ -265,8 +265,7 @@ def branch_distribution(
     counts: dict[Assignment, int] = {p: 0 for p in path_set(sig.tree)}
     streams = np.random.SeedSequence(seed).spawn(shots)
     for stream in streams:
-        trace = simulate(c, init, np.random.default_rng(stream), gateset, max_qubits,
-                         _signature=sig)
+        trace = simulate(c, init, np.random.default_rng(stream), gateset, max_qubits)
         counts[trace.path] += 1
     return counts
 

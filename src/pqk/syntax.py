@@ -475,7 +475,7 @@ def substitute(m, v: Value, x: str):
     substitution-transparent.
     """
     clash = free_vars(v)
-    if clash & bound_vars(m):
+    if clash and clash & bound_vars(m):
         m = _freshen(m, clash, _FreshNames(clash | free_vars(m) | bound_vars(m)))
     return _subst(m, v, x)
 
