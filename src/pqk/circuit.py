@@ -33,11 +33,11 @@ from .trees import (
     all_vars,
     extending_paths,
     graft,
-    graft_obj,
     is_consistent,
     leaf,
     lookup,
     map_leaves,
+    preorder_vars,
     rename_lifted,
     var_set,
     var_sort_key,
@@ -432,8 +432,9 @@ class CircuitSignature:
 class SignatureState:
     """The state of the signature fold after a prefix of a circuit.
 
-    `tree` and `outputs` are the prefix's lifting tree and branch-indexed
-    output contexts; `labels` is every label the prefix has used (its input
+    `outputs` are the prefix's branch-indexed output contexts and `tree` is
+    their shape, the prefix's lifting tree, kept so that `check_signature`
+    need not rebuild it; `labels` is every label the prefix has used (its input
     labels and every gate output), against which a new output must be fresh.
     A state stored on a circuit is never changed again: `append` extends a
     copy of it.
@@ -496,8 +497,8 @@ def extend_signature(state: SignatureState, ins: Instruction, gateset: GateSet =
         reduced[b] = ctx.remove([ins.wire])
     outputs = trees.compose(outputs, reduced, reduced.keys())
     split = trees.TreeNode(ins.var, trees.EMPTY_TREE, trees.EMPTY_TREE)
-    state.outputs = graft_obj(outputs, ins.cond, split)
-    state.tree = graft(tree, ins.cond, split)
+    state.outputs = graft(outputs, ins.cond, split)
+    state.tree = state.outputs.tree()
 
 
 def _signature_state(c: Circuit, gateset: GateSet) -> SignatureState:
@@ -567,7 +568,7 @@ def rename_labels_signature(sig: CircuitSignature, rho: Renaming) -> CircuitSign
 
 def rename_lifted_signature(sig: CircuitSignature, pi: Renaming) -> CircuitSignature:
     return CircuitSignature(
-        trees.rename_tree(sig.tree, pi),
+        rename_lifted(sig.tree, pi),
         sig.input,
         rename_lifted(sig.outputs, pi),
     )
@@ -595,7 +596,7 @@ class BoxedCircuit:
 
     def binder_order(self) -> list[str]:
         """Abstracted lifted variables in the sorted-enumeration order."""
-        return sorted(all_vars(self.tree), key=var_sort_key)
+        return sorted(all_vars(self.out_tuples), key=var_sort_key)
 
     def __str__(self) -> str:
         return f"({self.in_tuple}, {{{format_circuit(self.circuit)}}}, {self.out_tuples})"
@@ -625,19 +626,12 @@ def canonicalize_boxed_vars(b: BoxedCircuit) -> BoxedCircuit:
     Order: lift-instruction order in the circuit, then tree pre-order for any
     variable not introduced by a lift.
     """
-    lifted_order: list[str] = []
+    lifted_order: dict[str, None] = {}
     for ins in b.circuit.instructions:
-        if isinstance(ins, LiftInstr) and ins.var not in lifted_order:
-            lifted_order.append(ins.var)
-
-    def preorder(t: LiftingTree):
-        if isinstance(t, trees.TreeNode):
-            if t.var not in lifted_order:
-                lifted_order.append(t.var)
-            preorder(t.zero)
-            preorder(t.one)
-
-    preorder(b.tree)
+        if isinstance(ins, LiftInstr):
+            lifted_order.setdefault(ins.var)
+    for v in preorder_vars(b.out_tuples):
+        lifted_order.setdefault(v)
     pi = Renaming({v: f"~v{i}" for i, v in enumerate(lifted_order)})
     return rename_lifted_boxed(b, pi)
 
@@ -925,7 +919,7 @@ def circuit_from_json(data: Any) -> Circuit:
 
 def signature_to_json(sig: CircuitSignature) -> Any:
     return {
-        "tree": trees.tree_to_json(sig.tree),
+        "tree": trees.lifted_to_json(sig.tree, lambda _: None),
         "input": context_to_json(sig.input),
         "outputs": trees.lifted_to_json(sig.outputs, context_to_json),
     }

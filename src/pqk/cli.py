@@ -34,7 +34,7 @@ from .syntax import (
     format_type,
     format_value,
 )
-from .trees import lifted_to_json, tree_to_json
+from .trees import lifted_to_json
 from .typecheck import (
     check_closed_term,
     check_closed_value,
@@ -74,7 +74,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         if args.json:
             payload = {
                 "kind": "term",
-                "tree": tree_to_json(result.tree),
+                "tree": lifted_to_json(result.tree, lambda _: None),
                 "type": {
                     "text": format_lifted_type(result.type),
                     "lifted": lifted_to_json(result.type, format_type),

@@ -93,9 +93,11 @@ class TypeCheckError(PqkError):
     ``kind`` is one of the KIND_* constants below, ``rule`` names the typing
     rule under which the rejection happened, and ``branch`` is the assignment
     of the lifted-judgment branch that failed (None outside lifted judgments).
+    ``name`` is the variable an UnboundVar rejection is about (None otherwise).
     """
 
-    def __init__(self, kind: str, message: str, *, rule: str = "", branch=None, span=None):
+    def __init__(self, kind: str, message: str, *, rule: str = "", branch=None, span=None,
+                 name: str | None = None):
         loc = f" at {span}" if span is not None else ""
         br = f" [branch {branch}]" if branch is not None else ""
         rl = f" (rule {rule})" if rule else ""
@@ -105,6 +107,7 @@ class TypeCheckError(PqkError):
         self.rule = rule
         self.branch = branch
         self.span = span
+        self.name = name
 
 
 KIND_UNBOUND_VAR = "UnboundVar"

@@ -55,7 +55,6 @@ from .trees import (
     all_vars,
     flatten_family,
     from_map,
-    graft_tree_family,
     leaf,
     leaves,
     lookup,
@@ -220,7 +219,7 @@ class Generator:
         qubits = self._qubit_vars(res)
         circ_vars = sorted(
             n for n, t in res.items()
-            if isinstance(t, CircType) and t.in_type == M_QUBIT and not all_vars(t.tree)
+            if isinstance(t, CircType) and t.in_type == M_QUBIT and not all_vars(t.out)
         )
         options = ["INIT"]
         if qubits:
@@ -284,7 +283,7 @@ class Generator:
             branch_trees[p] = sub.tree
             branch_types[p] = sub.type
         mu = from_map(tree, branch_terms)
-        out_tree = graft_tree_family(tree, branch_trees)
+        out_tree = flatten_family(tree, branch_trees)
         out_type = flatten_family(ty, branch_types)
         return _GenOut(Let(x, stmt, mu), out_tree, out_type)
 
@@ -302,18 +301,13 @@ class Generator:
             res = dict(rest)
             res[a] = ty.left
             res[b] = ty.right
-            inner = self._gen_binder_body2(res, depth)
+            inner = self.gen_term(res, depth - 1)
             return _GenOut(LetPair(a, b, Var(x), inner.term), inner.tree, inner.type)
         res = dict(rest)
         res[x] = ty
         return self.gen_term(res, depth - 1)
 
-    def _gen_binder_body2(self, res: dict[str, PqkType], depth: int) -> _GenOut:
-        return self.gen_term(res, depth - 1)
-
     def gen_force(self, res: dict[str, PqkType], depth: int) -> _GenOut:
-        if res and any(not is_parameter(t) for t in res.values()):
-            return self.finish(res)
         if res:
             return self.finish(res)
         inner = self.gen_term({}, min(depth - 1, 2))
@@ -452,7 +446,11 @@ def check_sr(term: Term, gateset: GateSet = DEFAULT_GATES,
     """Subject reduction: a Done result re-typechecks at the static typing."""
     expected = check_closed_term(term, gateset)
     env = env_factory() if env_factory else EvalEnv(gateset=gateset)
-    outcome = run_closed(term, env)
+    return _sr_verdict(term, expected, run_closed(term, env), gateset, env_factory, shrink)
+
+
+def _sr_verdict(term: Term, expected, outcome, gateset, env_factory, shrink: bool) -> Finding | None:
+    """check_sr's verdict on the typing and the outcome of term."""
     if not isinstance(outcome, Done):
         return None  # FuelExhausted is not an SR counterexample; Stuck is progress's
     report = typecheck_closed_right_config(outcome.config.circuit, outcome.config.value,
@@ -480,7 +478,11 @@ def _sr_violated(term: Term, gateset, env_factory) -> bool:
 def check_progress(term: Term, fuel: int = 10**6, gateset: GateSet = DEFAULT_GATES) -> Finding | None:
     """Progress: evaluation of a well-typed program is never Stuck."""
     check_closed_term(term, gateset)
-    outcome = run_closed(term, EvalEnv(fuel=fuel, gateset=gateset))
+    return _progress_verdict(term, run_closed(term, EvalEnv(fuel=fuel, gateset=gateset)), fuel, gateset)
+
+
+def _progress_verdict(term: Term, outcome, fuel: int, gateset) -> Finding | None:
+    """check_progress's verdict on the outcome of the well-typed term."""
     if not isinstance(outcome, Stuck):
         return None
     term = shrink_finding(term, lambda t: _progress_violated(t, fuel, gateset))
@@ -548,21 +550,28 @@ class FuzzReport:
 
 
 def run_fuzz(cfg: GenConfig, count: int, fuel: int = 10**6) -> FuzzReport:
+    """Generate count programs and check subject reduction and progress on each.
+
+    Each program is type-checked and evaluated once; both verdicts read that
+    one outcome (evaluation is deterministic), and only a finding is shrunk.
+    """
     corpus = gen_corpus(cfg, count)
     sr: list[Finding] = []
     progress: list[Finding] = []
     exhausted = 0
     with_lifts = 0
+    env_factory = lambda: EvalEnv(fuel=fuel, gateset=cfg.gateset)
     for term in corpus:
         if count_lifting_applies(term) > 0:
             with_lifts += 1
-        outcome = run_closed(term, EvalEnv(fuel=fuel, gateset=cfg.gateset))
+        expected = check_closed_term(term, cfg.gateset)
+        outcome = run_closed(term, env_factory())
         if isinstance(outcome, FuelExhausted):
             exhausted += 1
-        finding = check_sr(term, cfg.gateset, env_factory=lambda: EvalEnv(fuel=fuel, gateset=cfg.gateset))
+        finding = _sr_verdict(term, expected, outcome, cfg.gateset, env_factory, shrink=True)
         if finding:
             sr.append(finding)
-        finding = check_progress(term, fuel, cfg.gateset)
+        finding = _progress_verdict(term, outcome, fuel, cfg.gateset)
         if finding:
             progress.append(finding)
     return FuzzReport(count, sr, progress, exhausted, with_lifts / max(count, 1))

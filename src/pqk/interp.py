@@ -148,12 +148,12 @@ def eval_config(cfg: LeftConfig, env: EvalEnv) -> EvalOutcome:
             return outcome
         inner = outcome.config
         out_tuples = {}
-        for p in path_set(inner.value.tree()):
+        for p in path_set(inner.value):
             mv = value_to_mvalue(lookup(inner.value, p))
             if mv is None:
                 return Stuck("BoxResultNotMValue", cfg)
             out_tuples[p] = mv
-        boxed = BoxedCircuit(in_tuple, inner.circuit, from_map(inner.value.tree(), out_tuples))
+        boxed = BoxedCircuit(in_tuple, inner.circuit, from_map(inner.value, out_tuples))
         return Done(RightConfig(cfg.circuit, leaf(Boxed(boxed))))
 
     if isinstance(m, Apply):
@@ -169,6 +169,14 @@ def eval_config(cfg: LeftConfig, env: EvalEnv) -> EvalOutcome:
             )
         except CircuitError as exc:
             return Stuck(f"AppendPrecondition: {exc}", cfg)
+        # Every instruction this apply adds must extend its branch; an
+        # enclosing let's branch is a restriction of it, so checking here
+        # also covers every let around the apply.
+        for ins in circuit.instructions[len(cfg.circuit.instructions):]:
+            if not ins.cond.extends(cfg.branch):
+                env.findings.append(
+                    f"branch-independence: instruction `{ins}` added on branch {cfg.branch}"
+                )
         return Done(RightConfig(circuit, map_leaves(out_tuples, mvalue_to_value)))
 
     if isinstance(m, Let):
@@ -180,22 +188,15 @@ def eval_config(cfg: LeftConfig, env: EvalEnv) -> EvalOutcome:
         if m.branches.tree() != phi.tree():
             return Stuck("LetBranchMismatch", cfg)
         results: dict[Assignment, Lifted] = {}
-        for p in path_set(phi.tree()):
+        for p in path_set(phi):
             branch_term = substitute(lookup(m.branches, p), lookup(phi, p), m.var)
-            mark = len(circuit.instructions)
             sub = eval_config(LeftConfig(circuit, cfg.branch.union(p), branch_term), env)
             if isinstance(sub, (FuelExhausted, Stuck)):
                 return sub
             circuit = sub.config.circuit
-            full_branch = cfg.branch.union(p)
-            for ins in circuit.instructions[mark:]:
-                if not ins.cond.extends(full_branch):
-                    env.findings.append(
-                        f"branch-independence: instruction `{ins}` added on branch {full_branch}"
-                    )
             results[p] = sub.config.value
         if env.mutate_skip_let_flatten:
-            first = {p: lookup(r, path_set(r.tree())[0]) for p, r in results.items()}
+            first = {p: lookup(r, path_set(r)[0]) for p, r in results.items()}
             value = compose(phi, first, first.keys())
             return Done(RightConfig(circuit, value))
         try:

@@ -29,10 +29,9 @@ from .trees import (
     LiftedNode,
     LiftingTree,
     Renaming,
-    TreeLeaf,
-    TreeNode,
     all_vars,
     map_leaves,
+    preorder_vars,
     rename_lifted,
 )
 
@@ -252,7 +251,6 @@ class Force(Term):
 class Box(Term):
     mtype: MType
     value: Value
-    var_hint: tuple[str, ...] = ()
     span: Span | None = _span_field()
 
 
@@ -361,12 +359,12 @@ def type_free_lifted_vars(a: PqkType) -> frozenset[str]:
     if isinstance(a, (UnitType, WireT)):
         return frozenset()
     if isinstance(a, ArrowType):
-        out = all_vars(a.cod.tree())
+        out = all_vars(a.cod)
         for t in trees.leaves(a.cod):
             out |= type_free_lifted_vars(t)
         return type_free_lifted_vars(a.dom) | out
     if isinstance(a, BangType):
-        out = all_vars(a.inner.tree())
+        out = all_vars(a.inner)
         for t in trees.leaves(a.inner):
             out |= type_free_lifted_vars(t)
         return frozenset(out)
@@ -388,7 +386,7 @@ def free_lifted_vars(x: Term | Value) -> frozenset[str]:
     if isinstance(x, App):
         return free_lifted_vars(x.fn) | free_lifted_vars(x.arg)
     if isinstance(x, Let):
-        out = free_lifted_vars(x.bound) | all_vars(x.branches.tree())
+        out = free_lifted_vars(x.bound) | all_vars(x.branches)
         for m in trees.leaves(x.branches):
             out |= free_lifted_vars(m)
         return frozenset(out)
@@ -443,7 +441,7 @@ def rename_lifted_term(x: Term | Value, pi: Renaming):
     if isinstance(x, Force):
         return Force(rec(x.value), x.span)
     if isinstance(x, Box):
-        return Box(x.mtype, rec(x.value), x.var_hint, x.span)
+        return Box(x.mtype, rec(x.value), x.span)
     if isinstance(x, Apply):
         return Apply(tuple(pi(v) for v in x.vars), rec(x.boxed), rec(x.arg), x.span)
     assert isinstance(x, Return)
@@ -517,7 +515,7 @@ def _freshen(m, avoid: frozenset[str], names: _FreshNames):
     if isinstance(m, Force):
         return Force(rec(m.value), m.span)
     if isinstance(m, Box):
-        return Box(m.mtype, rec(m.value), m.var_hint, m.span)
+        return Box(m.mtype, rec(m.value), m.span)
     if isinstance(m, Apply):
         return Apply(m.vars, rec(m.boxed), rec(m.arg), m.span)
     assert isinstance(m, Return)
@@ -553,7 +551,7 @@ def _subst(m, v: Value, x: str):
     if isinstance(m, Force):
         return Force(rec(m.value), m.span)
     if isinstance(m, Box):
-        return Box(m.mtype, rec(m.value), m.var_hint, m.span)
+        return Box(m.mtype, rec(m.value), m.span)
     if isinstance(m, Apply):
         return Apply(m.vars, rec(m.boxed), rec(m.arg), m.span)
     assert isinstance(m, Return)
@@ -577,18 +575,8 @@ def _lifted_equal(a: Lifted, b: Lifted, leaf_eq) -> bool:
 
 
 def _canonical_tree(t: LiftingTree) -> LiftingTree:
-    order: list[str] = []
-
-    def collect(t: LiftingTree):
-        if isinstance(t, TreeNode):
-            if t.var not in order:
-                order.append(t.var)
-            collect(t.zero)
-            collect(t.one)
-
-    collect(t)
-    pi = Renaming({v: f"~c{i}" for i, v in enumerate(order)})
-    return trees.rename_tree(t, pi)
+    pi = Renaming({v: f"~c{i}" for i, v in enumerate(preorder_vars(t))})
+    return rename_lifted(t, pi)
 
 
 def types_equal(a: PqkType, b: PqkType) -> bool:
@@ -605,26 +593,12 @@ def types_equal(a: PqkType, b: PqkType) -> bool:
         ca, cb = _canonical_tree(a.tree), _canonical_tree(b.tree)
         if ca != cb:
             return False
-        pa = Renaming(dict(zip(_preorder_vars(a.tree), _preorder_vars(ca))))
-        pb = Renaming(dict(zip(_preorder_vars(b.tree), _preorder_vars(cb))))
+        pa = Renaming(dict(zip(preorder_vars(a.out), preorder_vars(ca))))
+        pb = Renaming(dict(zip(preorder_vars(b.out), preorder_vars(cb))))
         return rename_lifted(a.out, pa) == rename_lifted(b.out, pb)
     if isinstance(a, TensorType) and isinstance(b, TensorType):
         return types_equal(a.left, b.left) and types_equal(a.right, b.right)
     return False
-
-
-def _preorder_vars(t: LiftingTree) -> list[str]:
-    order: list[str] = []
-
-    def walk(t: LiftingTree):
-        if isinstance(t, TreeNode):
-            if t.var not in order:
-                order.append(t.var)
-            walk(t.zero)
-            walk(t.one)
-
-    walk(t)
-    return order
 
 
 def lifted_types_equal(a: Lifted, b: Lifted) -> bool:
@@ -702,13 +676,6 @@ def _alpha(a, b, ea: dict, eb: dict, depth: list[int]) -> bool:
 # Pretty printing (surface syntax)
 
 
-def format_tree(t: LiftingTree) -> str:
-    if isinstance(t, TreeLeaf):
-        return "_"
-    assert isinstance(t, TreeNode)
-    return f"<{t.var} ? {format_tree(t.zero)} | {format_tree(t.one)}>"
-
-
 def format_mtype(t: MType) -> str:
     if isinstance(t, MUnit):
         return "Unit"
@@ -753,7 +720,7 @@ def format_type(a: PqkType) -> str:
         return f"!{_format_lifted(a.inner, _type_atom)}"
     if isinstance(a, CircType):
         out = _format_lifted(a.out, format_mtype)
-        return f"Circ[{format_tree(a.tree)}]({format_mtype(a.in_type)}, {out})"
+        return f"Circ[{a.tree}]({format_mtype(a.in_type)}, {out})"
     assert isinstance(a, TensorType)
     left = format_type(a.left)
     if isinstance(a.left, (ArrowType, TensorType)):

@@ -1,17 +1,19 @@
-"""Lifting trees, assignments and lifted objects.
+"""Lifted objects, lifting trees and assignments.
 
-A lifting tree records the branching structure produced by dynamic lifting:
-the empty tree (a leaf) or a node carrying a lifted-variable name with a
-zero- and a one-subtree.  A lifted object decorates the leaves of a lifting
-tree with payload values; equivalently it is a finite map from root-to-leaf
-paths (assignments) to payloads.  Both views are provided: the tree form is
-primary, the map view (``to_map``/``from_map``) serves as an oracle.
+A lifted object records the branching structure produced by dynamic lifting
+and decorates its leaves with payload values: a leaf, or a node carrying a
+lifted-variable name with a zero- and a one-subtree.  A lifting tree is the
+lifted object whose payloads are all None (its leaves print as ``_``), and
+``tree()`` gives the shape of any lifted object, so one set of operations
+serves both.  Equivalently a lifted object is a finite map from root-to-leaf
+paths (assignments) to payloads: the tree form is primary, the map view
+(``to_map``/``from_map``) serves as an oracle.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Mapping
 
 from .errors import AssignmentClash, InvalidBranch, VariableClash
@@ -130,39 +132,52 @@ class Renaming:
         return f"Renaming({inner})"
 
 
-IDENTITY_RENAMING = Renaming({})
-
-
 # ---------------------------------------------------------------------------
-# Lifting trees
+# Lifted objects and lifting trees
 
 
-class LiftingTree:
-    """Either the empty tree (TreeLeaf) or TreeNode(var, zero, one)."""
+class Lifted:
+    """Lifting tree whose leaves carry payload values."""
 
     __slots__ = ()
+
+    def paths(self) -> list[Assignment]:
+        return path_set(self)
+
+    def lookup(self, a: Assignment) -> Any:
+        return lookup(self, a)
 
 
 @dataclass(frozen=True)
-class TreeLeaf(LiftingTree):
-    __slots__ = ()
+class LiftedLeaf(Lifted):
+    value: Any
+
+    def tree(self) -> Lifted:
+        return EMPTY_TREE
 
     def __str__(self) -> str:
-        return "_"
+        return "_" if self.value is None else f"leaf({self.value})"
 
     __repr__ = __str__
 
 
 @dataclass(frozen=True)
-class TreeNode(LiftingTree):
+class LiftedNode(Lifted):
     var: str
-    zero: LiftingTree
-    one: LiftingTree
+    zero: Lifted
+    one: Lifted
+    # V(t) of this node, computed once from the subtrees' stored sets.
+    _vars: frozenset[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         below = all_vars(self.zero) | all_vars(self.one)
         if self.var in below:
             raise VariableClash(f"node variable {self.var} occurs in a subtree")
+        object.__setattr__(self, "_vars", below | {self.var})
+
+    def tree(self) -> Lifted:
+        """The shape of this object: the same nodes with empty payloads."""
+        return LiftedNode(self.var, self.zero.tree(), self.one.tree())
 
     def __str__(self) -> str:
         return f"<{self.var} ? {self.zero} | {self.one}>"
@@ -170,22 +185,46 @@ class TreeNode(LiftingTree):
     __repr__ = __str__
 
 
-EMPTY_TREE = TreeLeaf()
+# A lifting tree is a lifted object whose payloads are None.
+LiftingTree = Lifted
+TreeLeaf = LiftedLeaf
+TreeNode = LiftedNode
+EMPTY_TREE = LiftedLeaf(None)
+_NO_VARS: frozenset[str] = frozenset()
 
 
-def all_vars(t: LiftingTree) -> frozenset[str]:
+def leaf(value: Any) -> LiftedLeaf:
+    return LiftedLeaf(value)
+
+
+def node(var: str, zero: Lifted, one: Lifted) -> LiftedNode:
+    return LiftedNode(var, zero, one)
+
+
+def all_vars(t: Lifted) -> frozenset[str]:
     """Every lifted variable mentioned in t (V(t))."""
-    if isinstance(t, TreeLeaf):
-        return frozenset()
-    assert isinstance(t, TreeNode)
-    return frozenset({t.var}) | all_vars(t.zero) | all_vars(t.one)
+    return t._vars if isinstance(t, LiftedNode) else _NO_VARS
 
 
-def var_set(t: LiftingTree, a: Assignment) -> frozenset[str]:
+def preorder_vars(t: Lifted) -> list[str]:
+    """The distinct variables of t, in pre-order of their first occurrence."""
+    order: dict[str, None] = {}
+
+    def walk(t: Lifted):
+        if isinstance(t, LiftedNode):
+            order.setdefault(t.var)
+            walk(t.zero)
+            walk(t.one)
+
+    walk(t)
+    return list(order)
+
+
+def var_set(t: Lifted, a: Assignment) -> frozenset[str]:
     """The variable set of t on branch a (V_a(t)); unknown variables in a are ignored."""
-    if isinstance(t, TreeLeaf):
-        return frozenset()
-    assert isinstance(t, TreeNode)
+    if isinstance(t, LiftedLeaf):
+        return _NO_VARS
+    assert isinstance(t, LiftedNode)
     bit = a.get(t.var)
     if bit == 0:
         rest = var_set(t.zero, a)
@@ -196,15 +235,15 @@ def var_set(t: LiftingTree, a: Assignment) -> frozenset[str]:
     return frozenset({t.var}) | rest
 
 
-def path_set(t: LiftingTree) -> list[Assignment]:
+def path_set(t: Lifted) -> list[Assignment]:
     """Root-to-leaf paths of t, in lexicographic order of canonical assignments."""
     return sorted(_paths(t), key=lambda a: tuple((var_sort_key(v), b) for v, b in a.bindings))
 
 
-def _paths(t: LiftingTree) -> list[Assignment]:
-    if isinstance(t, TreeLeaf):
+def _paths(t: Lifted) -> list[Assignment]:
+    if isinstance(t, LiftedLeaf):
         return [EMPTY_ASSIGNMENT]
-    assert isinstance(t, TreeNode)
+    assert isinstance(t, LiftedNode)
     out = []
     for bit, sub in ((0, t.zero), (1, t.one)):
         head = Assignment.of({t.var: bit})
@@ -212,11 +251,11 @@ def _paths(t: LiftingTree) -> list[Assignment]:
     return out
 
 
-def assignment_set(t: LiftingTree) -> frozenset[Assignment]:
+def assignment_set(t: Lifted) -> frozenset[Assignment]:
     """All assignments consistent with t (A_t); exponential, test/oracle use."""
-    if isinstance(t, TreeLeaf):
+    if isinstance(t, LiftedLeaf):
         return frozenset({EMPTY_ASSIGNMENT})
-    assert isinstance(t, TreeNode)
+    assert isinstance(t, LiftedNode)
     zero = assignment_set(t.zero)
     one = assignment_set(t.one)
     out = set(zero) | set(one)
@@ -225,104 +264,37 @@ def assignment_set(t: LiftingTree) -> frozenset[Assignment]:
     return frozenset(out)
 
 
-def is_consistent(t: LiftingTree, a: Assignment) -> bool:
+def is_consistent(t: Lifted, a: Assignment) -> bool:
     """a belongs to A_t, i.e. a is a restriction of some root-to-leaf path."""
     if not a:
         return True
-    if isinstance(t, TreeLeaf):
+    if isinstance(t, LiftedLeaf):
         return False
-    assert isinstance(t, TreeNode)
+    assert isinstance(t, LiftedNode)
     bit = a.get(t.var)
     if bit is not None:
         return is_consistent(t.zero if bit == 0 else t.one, a.without(t.var))
     return is_consistent(t.zero, a) or is_consistent(t.one, a)
 
 
-def extending_paths(t: LiftingTree, a: Assignment) -> list[Assignment]:
+def extending_paths(t: Lifted, a: Assignment) -> list[Assignment]:
     """The paths of t that extend a (P_t^a)."""
     if not is_consistent(t, a):
-        raise InvalidBranch(f"{a} is not consistent with tree {t}")
+        raise InvalidBranch(f"{a} is not consistent with tree {t.tree()}")
     return [p for p in path_set(t) if p.extends(a)]
 
 
-def rename_tree(t: LiftingTree, pi: Renaming) -> LiftingTree:
-    if isinstance(t, TreeLeaf):
-        return t
-    assert isinstance(t, TreeNode)
-    return TreeNode(pi(t.var), rename_tree(t.zero, pi), rename_tree(t.one, pi))
-
-
-def subtree_at(t: LiftingTree, a: Assignment) -> LiftingTree:
+def subtree_at(t: Lifted, a: Assignment) -> Lifted:
     """Subtree reached by following a from the root; a must spell a node prefix."""
     if not a:
         return t
-    if isinstance(t, TreeLeaf):
+    if isinstance(t, LiftedLeaf):
         raise InvalidBranch(f"{a} descends below a leaf")
-    assert isinstance(t, TreeNode)
+    assert isinstance(t, LiftedNode)
     bit = a.get(t.var)
     if bit is None:
         raise InvalidBranch(f"{a} does not bind {t.var}")
     return subtree_at(t.zero if bit == 0 else t.one, a.without(t.var))
-
-
-# ---------------------------------------------------------------------------
-# Lifted objects
-
-
-class Lifted:
-    """Lifting tree whose leaves carry payload values."""
-
-    __slots__ = ()
-
-    def tree(self) -> LiftingTree:
-        raise NotImplementedError
-
-    def paths(self) -> list[Assignment]:
-        return path_set(self.tree())
-
-    def lookup(self, a: Assignment) -> Any:
-        return lookup(self, a)
-
-
-@dataclass(frozen=True)
-class LiftedLeaf(Lifted):
-    value: Any
-
-    def tree(self) -> LiftingTree:
-        return EMPTY_TREE
-
-    def __str__(self) -> str:
-        return f"leaf({self.value})"
-
-    __repr__ = __str__
-
-
-@dataclass(frozen=True)
-class LiftedNode(Lifted):
-    var: str
-    zero: Lifted
-    one: Lifted
-
-    def __post_init__(self):
-        below = all_vars(self.zero.tree()) | all_vars(self.one.tree())
-        if self.var in below:
-            raise VariableClash(f"node variable {self.var} occurs in a subtree")
-
-    def tree(self) -> LiftingTree:
-        return TreeNode(self.var, self.zero.tree(), self.one.tree())
-
-    def __str__(self) -> str:
-        return f"<{self.var} ? {self.zero} | {self.one}>"
-
-    __repr__ = __str__
-
-
-def leaf(value: Any) -> LiftedLeaf:
-    return LiftedLeaf(value)
-
-
-def node(var: str, zero: Lifted, one: Lifted) -> LiftedNode:
-    return LiftedNode(var, zero, one)
 
 
 def lookup(obj: Lifted, a: Assignment) -> Any:
@@ -343,11 +315,11 @@ def to_map(obj: Lifted) -> dict[Assignment, Any]:
     return {p: lookup(obj, p) for p in obj.paths()}
 
 
-def from_map(t: LiftingTree, mapping: Mapping[Assignment, Any]) -> Lifted:
-    """Rebuild the tree form of a map view over t."""
-    if isinstance(t, TreeLeaf):
+def from_map(t: Lifted, mapping: Mapping[Assignment, Any]) -> Lifted:
+    """Rebuild the tree form of a map view over t's shape."""
+    if isinstance(t, LiftedLeaf):
         return LiftedLeaf(mapping[EMPTY_ASSIGNMENT])
-    assert isinstance(t, TreeNode)
+    assert isinstance(t, LiftedNode)
 
     def restrict(bit: int) -> dict[Assignment, Any]:
         return {
@@ -359,11 +331,11 @@ def from_map(t: LiftingTree, mapping: Mapping[Assignment, Any]) -> Lifted:
     return LiftedNode(t.var, from_map(t.zero, restrict(0)), from_map(t.one, restrict(1)))
 
 
-def const(t: LiftingTree, value: Any) -> Lifted:
-    """Lifted object over t carrying the same payload at every leaf."""
-    if isinstance(t, TreeLeaf):
+def const(t: Lifted, value: Any) -> Lifted:
+    """Lifted object over t's shape carrying the same payload at every leaf."""
+    if isinstance(t, LiftedLeaf):
         return LiftedLeaf(value)
-    assert isinstance(t, TreeNode)
+    assert isinstance(t, LiftedNode)
     return LiftedNode(t.var, const(t.zero, value), const(t.one, value))
 
 
@@ -439,7 +411,7 @@ def _flatten(obj: Lifted, acc: frozenset[str]) -> Lifted:
     if isinstance(obj, LiftedLeaf):
         if isinstance(obj.value, Sub):
             inner = obj.value.inner
-            clash = all_vars(inner.tree()) & acc
+            clash = all_vars(inner) & acc
             if clash:
                 raise VariableClash(f"flattening reuses {sorted(clash)} already on the path")
             return inner
@@ -449,66 +421,27 @@ def _flatten(obj: Lifted, acc: frozenset[str]) -> Lifted:
     return LiftedNode(obj.var, _flatten(obj.zero, acc), _flatten(obj.one, acc))
 
 
-def flatten_tree(obj: Lifted) -> LiftingTree:
-    """Flatten a lifted object whose leaves are themselves lifting trees."""
-    return _flatten_tree(obj, frozenset())
-
-
-def _flatten_tree(obj: Lifted, acc: frozenset[str]) -> LiftingTree:
-    if isinstance(obj, LiftedLeaf):
-        sub = obj.value
-        if not isinstance(sub, LiftingTree):
-            raise TypeError(f"leaf payload {sub!r} is not a lifting tree")
-        clash = all_vars(sub) & acc
-        if clash:
-            raise VariableClash(f"flattening reuses {sorted(clash)} already on the path")
-        return sub
-    assert isinstance(obj, LiftedNode)
-    acc = acc | {obj.var}
-    return TreeNode(obj.var, _flatten_tree(obj.zero, acc), _flatten_tree(obj.one, acc))
-
-
 def flatten_family(obj: Lifted, family: Mapping[Assignment, Lifted]) -> Lifted:
-    """The let-shape operation: stick a lifted object under each listed path, then flatten."""
+    """The let-shape operation: stick a lifted object under each listed path, then flatten.
+
+    On a lifting tree with a family of trees this is the tree of the let.
+    """
     tagged = compose(obj, {a: Sub(sub) for a, sub in family.items()}, family.keys())
     return flatten(tagged)
 
 
-def graft_tree_family(t: LiftingTree, family: Mapping[Assignment, LiftingTree]) -> LiftingTree:
-    """Result tree of flatten_family on trees alone."""
-    base = const(t, EMPTY_TREE)
-    tagged = compose(base, dict(family), family.keys())
-    return flatten_tree(tagged)
+def graft(obj: Lifted, a: Assignment, r: Lifted) -> Lifted:
+    """obj with a copy of r's shape grafted at every path extending a (obj graft_a r).
 
-
-def graft(t: LiftingTree, a: Assignment, r: LiftingTree) -> LiftingTree:
-    """t with a copy of r grafted at every path extending a (t graft_a r)."""
-    ext = extending_paths(t, a)
-    return graft_tree_family(t, {p: r for p in ext})
-
-
-def graft_obj(obj: Lifted, a: Assignment, r: LiftingTree) -> Lifted:
-    """Each leaf payload at a path extending a is duplicated across a copy of r."""
-    ext = extending_paths(obj.tree(), a)
-    family = {p: const(r, lookup(obj, p)) for p in ext}
+    Each grafted copy carries the payload of the leaf it replaces, so on a
+    lifting tree the result is the grafted tree.
+    """
+    family = {p: const(r, lookup(obj, p)) for p in extending_paths(obj, a)}
     return flatten_family(obj, family)
 
 
 # ---------------------------------------------------------------------------
-# JSON form
-
-
-def tree_to_json(t: LiftingTree) -> Any:
-    if isinstance(t, TreeLeaf):
-        return {"leaf": None}
-    assert isinstance(t, TreeNode)
-    return {"var": t.var, "zero": tree_to_json(t.zero), "one": tree_to_json(t.one)}
-
-
-def tree_from_json(data: Any) -> LiftingTree:
-    if "leaf" in data:
-        return EMPTY_TREE
-    return TreeNode(data["var"], tree_from_json(data["zero"]), tree_from_json(data["one"]))
+# JSON form (a lifting tree's leaves encode as {"leaf": null})
 
 
 def lifted_to_json(obj: Lifted, leaf_to_json: Callable[[Any], Any]) -> Any:

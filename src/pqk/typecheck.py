@@ -84,13 +84,11 @@ from .trees import (
     const,
     flatten_family,
     from_map,
-    graft_tree_family,
     leaf,
     lookup,
     map_leaves,
     path_set,
     rename_lifted,
-    rename_tree,
     subtree_at,
     var_set,
     var_sort_key,
@@ -143,9 +141,9 @@ class ComputationTyping:
     type: Lifted  # of PqkType
 
     def __str__(self) -> str:
-        from .syntax import format_lifted_type, format_tree
+        from .syntax import format_lifted_type
 
-        return f"({format_tree(self.tree)}, {format_lifted_type(self.type)})"
+        return f"({self.tree}, {format_lifted_type(self.type)})"
 
     __repr__ = __str__
 
@@ -172,7 +170,7 @@ class Checker:
                         rule="var", span=v.span,
                     )
                 raise TypeCheckError(KIND_UNBOUND_VAR, f"variable {v.name} is not in scope",
-                                     rule="var", span=v.span)
+                                     rule="var", span=v.span, name=v.name)
             if is_parameter(ty):
                 return ty, ctx
             self._consumed_vars.add(v.name)
@@ -206,14 +204,12 @@ class Checker:
             try:
                 result, _ = self.check_term(param_ctx, v.body)
             except TypeCheckError as exc:
-                if exc.kind == KIND_UNBOUND_VAR:
-                    name = exc.message.split()[1]
-                    if name in linear:
-                        raise TypeCheckError(
-                            KIND_NON_PARAMETER_UNDER_LIFT,
-                            f"lift body captures the linear variable {name}",
-                            rule="lift", span=v.span,
-                        ) from exc
+                if exc.kind == KIND_UNBOUND_VAR and exc.name in linear:
+                    raise TypeCheckError(
+                        KIND_NON_PARAMETER_UNDER_LIFT,
+                        f"lift body captures the linear variable {exc.name}",
+                        rule="lift", span=v.span,
+                    ) from exc
                 raise
             return BangType(result.type), ctx
         if isinstance(v, Boxed):
@@ -300,7 +296,7 @@ class Checker:
                     )
             assert residue is not None
             try:
-                out_tree = graft_tree_family(bound.tree, branch_trees)
+                out_tree = flatten_family(bound.tree, branch_trees)
                 out_type = flatten_family(bound.type, branch_types)
             except VariableClash as exc:
                 raise TypeCheckError(KIND_FLATTEN_CLASH, str(exc), rule="let", span=m.span) from exc
@@ -347,7 +343,7 @@ class Checker:
                     rule="box", span=m.span,
                 )
             out_types = {}
-            for p in path_set(arrow.cod.tree()):
+            for p in path_set(arrow.cod):
                 mt = as_mtype(lookup(arrow.cod, p))
                 if mt is None:
                     raise TypeCheckError(
@@ -356,7 +352,7 @@ class Checker:
                         rule="box", branch=p, span=m.span,
                     )
                 out_types[p] = mt
-            theta = from_map(arrow.cod.tree(), out_types)
+            theta = from_map(arrow.cod, out_types)
             return ComputationTyping(EMPTY_TREE, leaf(CircType(m.mtype, theta))), ctx1
         if isinstance(m, Apply):
             circ_ty, ctx1 = self.check_value(ctx, m.boxed)
@@ -364,7 +360,7 @@ class Checker:
                 raise TypeCheckError(KIND_TYPE_MISMATCH,
                                      f"apply expects a boxed circuit, got {circ_ty}",
                                      rule="apply", span=m.span)
-            binders = sorted(all_vars(circ_ty.tree), key=var_sort_key)
+            binders = sorted(all_vars(circ_ty.out), key=var_sort_key)
             if len(m.vars) != len(binders):
                 raise TypeCheckError(
                     KIND_LIFTED_VAR_NOT_FRESH,
@@ -384,7 +380,7 @@ class Checker:
                     rule="apply", span=m.span,
                 )
             pi = Renaming(dict(zip(binders, m.vars)))
-            out_tree = rename_tree(circ_ty.tree, pi)
+            out_tree = rename_lifted(circ_ty.tree, pi)
             out_type = rename_lifted(map_leaves(circ_ty.out, embed_mtype), pi)
             return ComputationTyping(out_tree, out_type), ctx2
         raise TypeCheckError(KIND_TYPE_MISMATCH, f"not a term: {m!r}", rule="?")
@@ -425,7 +421,7 @@ class Checker:
             )
         results = {}
         residue = None
-        for p in path_set(mu.tree()):
+        for p in path_set(mu):
             result, leftover = self.check_term(ctx, lookup(mu, p))
             results[p] = result
             if residue is None:
@@ -435,7 +431,7 @@ class Checker:
                                      "branches consume different linear resources",
                                      rule="lifted", branch=p)
         assert residue is not None
-        return from_map(mu.tree(), results), residue
+        return from_map(mu, results), residue
 
 
 # ---------------------------------------------------------------------------

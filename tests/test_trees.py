@@ -24,18 +24,14 @@ from pqk.trees import (
     flatten_family,
     from_map,
     graft,
-    graft_obj,
-    graft_tree_family,
     is_consistent,
     leaf,
     lifted_from_json,
     lifted_to_json,
     lookup,
     path_set,
-    rename_tree,
+    rename_lifted,
     to_map,
-    tree_from_json,
-    tree_to_json,
     var_set,
     var_sort_key,
 )
@@ -228,18 +224,18 @@ class TestGraft:
     def test_graft_obj_duplicates_payload(self):
         obj = LiftedNode("u", leaf("x"), leaf("y"))
         r = TreeNode("s", EMPTY_TREE, EMPTY_TREE)
-        got = graft_obj(obj, a(u=1), r)
+        got = graft(obj, a(u=1), r)
         assert got == LiftedNode("u", leaf("x"), LiftedNode("s", leaf("y"), leaf("y")))
 
 
 class TestRenaming:
     def test_identity(self):
         pi = Renaming({})
-        assert rename_tree(U_S, pi) == U_S
+        assert rename_lifted(U_S, pi) == U_S
 
     def test_single_swap(self):
         pi = Renaming({"u": "s2"})
-        assert rename_tree(U_ONLY, pi) == TreeNode("s2", EMPTY_TREE, EMPTY_TREE)
+        assert rename_lifted(U_ONLY, pi) == TreeNode("s2", EMPTY_TREE, EMPTY_TREE)
 
     def test_round_trip_random(self):
         rng = random.Random(7)
@@ -247,7 +243,7 @@ class TestRenaming:
         for _ in range(50):
             t = random_tree(rng, pool, 4)
             pi = Renaming({"u": "x1", "s": "x2", "w": "x3"})
-            assert rename_tree(rename_tree(t, pi), pi.inverse()) == t
+            assert rename_lifted(rename_lifted(t, pi), pi.inverse()) == t
 
     def test_var_set_commutes_with_renaming(self):
         rng = random.Random(11)
@@ -256,7 +252,7 @@ class TestRenaming:
         for _ in range(50):
             t = random_tree(rng, pool, 3)
             for p in path_set(t):
-                lhs = var_set(rename_tree(t, pi), p.rename(pi))
+                lhs = var_set(rename_lifted(t, pi), p.rename(pi))
                 rhs = frozenset(pi(v) for v in var_set(t, p))
                 assert lhs == rhs
 
@@ -340,7 +336,7 @@ class TestFlattenFamily:
             a(u=0): EMPTY_TREE,
             a(u=1): TreeNode("s", EMPTY_TREE, EMPTY_TREE),
         }
-        assert graft_tree_family(U_ONLY, fam) == TreeNode(
+        assert flatten_family(U_ONLY, fam) == TreeNode(
             "u", EMPTY_TREE, TreeNode("s", EMPTY_TREE, EMPTY_TREE)
         )
 
@@ -348,7 +344,7 @@ class TestFlattenFamily:
 class TestJson:
     def test_tree_round_trip(self):
         for t in (EMPTY_TREE, U_ONLY, U_S):
-            assert tree_from_json(tree_to_json(t)) == t
+            assert lifted_from_json(lifted_to_json(t, lambda _: None), lambda _: None) == t
 
     def test_lifted_round_trip(self):
         obj = LiftedNode("u", leaf(3), LiftedNode("s", leaf(1), leaf(2)))
