@@ -4,7 +4,7 @@ The package implements, end to end: the lifting-tree algebra (trees.py), the
 circuit representation language with signature checking (circuit.py), the
 surface language with a linear type-and-effect checker (syntax.py, parser.py,
 typecheck.py), a big-step evaluator that builds circuits as a side effect
-(interp.py), a branch-sampling state-vector simulator (simulator.py) and a
+(interp.py), a shot-splitting state-vector simulator (simulator.py) and a
 metatheory fuzzer for subject reduction and progress (fuzz.py).
 """
 
@@ -34,7 +34,7 @@ from .parser import (
     parse_type_text,
     parse_value,
 )
-from .simulator import QuantumState, branch_distribution, fidelity, simulate
+from .simulator import QuantumState, branch_distribution, branch_states, fidelity, simulate
 from .trees import (
     Assignment,
     EMPTY_TREE,

@@ -147,6 +147,8 @@ def _circuit_from_file(path: str, gateset: GateSet, fuel: int):
 
 
 def cmd_sim(args: argparse.Namespace) -> int:
+    if args.shots < 1:
+        raise PqkError(f"--shots must be at least 1, got {args.shots}")
     gateset = load_gateset()
     circuit = _circuit_from_file(args.file, gateset, args.fuel)
     spec = parse_init_spec(args.init) if args.init else None

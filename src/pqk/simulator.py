@@ -1,9 +1,19 @@
-"""Branch-sampling state-vector execution of CRL circuits.
+"""Shot-splitting state-vector execution of CRL circuits.
 
-One run holds a dense state vector over the live qubit wires plus a classical
-bit per live Bit wire.  Measurement collapses per the Born rule using a seeded
-generator; lift binds the classical bit to its variable, and an instruction
-fires exactly when its condition agrees with the bits sampled so far.
+One walk visits each instruction of a circuit once and keeps a list of live
+branches.  A branch is one history of measurement outcomes: a dense state
+vector over its live qubit wires, a classical bit per live Bit wire, the
+lifted bits so far (its path), its exact Born probability and, when shots are
+drawn, its share of the shots.  An instruction acts on the branches whose
+path satisfies its condition, lift moves a bit into the branch's path, and a
+measurement splits a branch into its two Born-weighted outcomes.
+
+With a shot count, a branch holding n shots sends a binomial(n, p1) draw of
+them to outcome 1 and the rest to outcome 0, and an outcome left with no
+shots is dropped.  The shot counts per path then have the law of that many
+independent runs, while the work grows with the branches that hold shots,
+never with the shots.  Without a shot count the walk is exact and returns
+every outcome branch with its probability; `simulate` is the one-shot walk.
 """
 
 from __future__ import annotations
@@ -17,6 +27,7 @@ from .circuit import (
     BIT,
     QUBIT,
     Circuit,
+    CircuitSignature,
     DEFAULT_GATES,
     GateApp,
     GateSet,
@@ -42,6 +53,7 @@ _BASIS = {
 
 NORM_TOLERANCE = 1e-12
 DEFAULT_MAX_QUBITS = 20
+MAX_SHOTS = np.iinfo(np.int64).max  # the largest count numpy's binomial draw takes
 
 
 @dataclass
@@ -111,19 +123,34 @@ def fidelity(a: QuantumState, b: QuantumState) -> float:
 
 @dataclass
 class RunTrace:
+    """One outcome branch at the end of a walk.
+
+    probability is the exact Born probability of the branch's measurement
+    outcomes; shots is its share of the shots drawn, or None in exact mode.
+    """
+
     path: Assignment
     lift_bits: dict[str, int]
     outputs: LabelContext
     state: QuantumState
+    probability: float = 1.0
+    shots: int | None = None
 
 
-class _Run:
-    def __init__(self, init: QuantumState, rng: np.random.Generator, max_qubits: int):
-        self.order: list[str] = list(init.qubit_order)
-        self.state = init.amplitudes.astype(complex).reshape([2] * len(self.order))
-        self.classical = dict(init.classical)
-        self.rng = rng
-        self.max_qubits = max_qubits
+class _Branch:
+    """One live branch of a walk: state, classical bits, path, weight."""
+
+    def __init__(self, order: list[str], state: np.ndarray, classical: dict[str, int],
+                 lifted: dict[str, int], probability: float, shots: int | None):
+        self.order = order
+        self.state = state
+        self.classical = classical
+        self.lifted = lifted
+        self.probability = probability
+        self.shots = shots
+
+    def satisfies(self, cond: Assignment) -> bool:
+        return all(self.lifted.get(v) == b for v, b in cond.bindings)
 
     def _axis(self, label: str) -> int:
         try:
@@ -157,22 +184,33 @@ class _Run:
         self.order[t] = out_t
         self._check_norm()
 
-    def measure(self, src: str, out_bit: str):
+    def measure(self, src: str, out_bit: str, rng: np.random.Generator) -> list[_Branch]:
+        """Split into the outcomes that keep a nonzero probability, or shots."""
         axis = self._axis(src)
         state = np.moveaxis(self.state, axis, 0)
-        p1 = float(np.sum(np.abs(state[1]) ** 2))
-        bit = 1 if self.rng.random() < p1 else 0
-        prob = p1 if bit else 1.0 - p1
-        if prob <= 0:  # pragma: no cover
-            raise SimulationError("measured an outcome of probability zero")
-        self.state = state[bit] / math.sqrt(prob)
-        self.order.pop(axis)
-        self.classical[out_bit] = bit
-        self._check_norm()
+        weights = [float(np.sum(np.abs(state[bit]) ** 2)) for bit in (0, 1)]
+        probs = [w / (weights[0] + weights[1]) for w in weights]
+        if self.shots is None:
+            shares = [None, None]
+        else:
+            ones = int(rng.binomial(self.shots, probs[1]))
+            shares = [self.shots - ones, ones]
+        children = []
+        for bit in (0, 1):
+            if shares[bit] is None and probs[bit] == 0 or shares[bit] == 0:
+                continue  # an outcome that cannot happen, or that no shot took
+            if probs[bit] <= 0:  # pragma: no cover
+                raise SimulationError("measured an outcome of probability zero")
+            child = _Branch(self.order[:axis] + self.order[axis + 1:], state[bit] / math.sqrt(weights[bit]),
+                            {**self.classical, out_bit: bit}, dict(self.lifted),
+                            self.probability * probs[bit], shares[bit])
+            child._check_norm()
+            children.append(child)
+        return children
 
-    def init_qubit(self, label: str, bit: int):
-        if len(self.order) + 1 > self.max_qubits:
-            raise SimulationError(f"more than {self.max_qubits} live qubits")
+    def init_qubit(self, label: str, bit: int, max_qubits: int):
+        if len(self.order) + 1 > max_qubits:
+            raise SimulationError(f"more than {max_qubits} live qubits")
         vec = _BASIS["1"] if bit else _BASIS["0"]
         self.state = np.tensordot(self.state, vec, axes=0)
         self.order.append(label)
@@ -182,6 +220,36 @@ class _Run:
             raise SimulationError(f"wire {label} is not a live bit")
         del self.classical[label]
 
+    def lift(self, wire: str, var: str):
+        if wire not in self.classical:
+            raise SimulationError(f"lift of non-live bit {wire}")
+        self.lifted[var] = self.classical.pop(wire)
+
+
+def branch_states(
+    c: Circuit,
+    init: QuantumState | None = None,
+    shots: int | None = None,
+    seed: int | np.random.Generator = 0,
+    gateset: GateSet = DEFAULT_GATES,
+    max_qubits: int = DEFAULT_MAX_QUBITS,
+) -> list[RunTrace]:
+    """The outcome branches of c, from one walk over its instructions.
+
+    With shots=None the walk is exact: it returns every measurement-outcome
+    branch of nonzero probability with its Born probability and final state,
+    and the probabilities sum to 1.  A measured bit that is never lifted
+    keeps its two outcomes as separate branches with the same path, because
+    the state on that path is a mixture of them.
+
+    With a shot count, each measurement sends rng.binomial(n, p1) of a
+    branch's n shots to outcome 1 and the rest to outcome 0, from one
+    generator seeded by seed, and drops an outcome that gets no shots.  The
+    branches returned hold every shot, and at most min(shots, outcome
+    branches) of them are ever live.
+    """
+    return _walk(c, check_signature(c, gateset), init, shots, seed, max_qubits)
+
 
 def simulate(
     c: Circuit,
@@ -190,66 +258,9 @@ def simulate(
     gateset: GateSet = DEFAULT_GATES,
     max_qubits: int = DEFAULT_MAX_QUBITS,
 ) -> RunTrace:
-    """Execute one run of c, sampling measurement outcomes."""
-    sig = check_signature(c, gateset)
-    if init is None:
-        init = QuantumState.product(c.input)
-    in_qubits = {n for n, w in c.input.entries if w is QUBIT}
-    in_bits = {n for n, w in c.input.entries if w is BIT}
-    if set(init.qubit_order) != in_qubits or set(init.classical) != in_bits:
-        raise SimulationError("initial state does not cover the circuit inputs")
-    if len(in_qubits) > max_qubits:
-        raise SimulationError(f"more than {max_qubits} input qubits")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    run = _Run(init, rng, max_qubits)
-
-    sampled: dict[str, int] = {}
-    fired: list[bool] = []
-    for ins in c.instructions:
-        fires = all(sampled.get(v) == b for v, b in ins.cond.bindings)
-        fired.append(fires)
-        if not fires:
-            continue
-        if isinstance(ins, LiftInstr):
-            if ins.wire not in run.classical:
-                raise SimulationError(f"lift of non-live bit {ins.wire}")
-            sampled[ins.var] = run.classical.pop(ins.wire)
-            continue
-        _apply_gate(run, ins)
-
-    path = Assignment.of(sampled)
-    try:
-        expected = lookup(sig.outputs, path)
-    except InvalidBranch:  # pragma: no cover - signature guarantees it
-        raise SimulationError(f"sampled assignment {path} is not a path of the lifting tree") from None
-    for ins, did_fire in zip(c.instructions, fired):
-        assert did_fire == path.extends(ins.cond), "condition bookkeeping diverged"
-    live = set(run.order) | set(run.classical)
-    if live != expected.domain():  # pragma: no cover - signature guarantees it
-        raise SimulationError(f"live wires {sorted(live)} differ from signature {expected}")
-    final = QuantumState(tuple(run.order), run.state, dict(run.classical))
-    return RunTrace(path, dict(sampled), expected, final)
-
-
-def _apply_gate(run: _Run, ins: GateApp):
-    name = ins.gate
-    ins_labels = mvalue_labels(ins.inputs)
-    out_labels = mvalue_labels(ins.outputs)
-    if name in _ONE_QUBIT:
-        run.apply_1q(_ONE_QUBIT[name], ins_labels[0], out_labels[0])
-    elif name == "CNOT":
-        run.apply_cnot(ins_labels[0], ins_labels[1], out_labels[0], out_labels[1])
-    elif name == "Meas":
-        run.measure(ins_labels[0], out_labels[0])
-    elif name == "Meas2":
-        run.measure(ins_labels[0], out_labels[0])
-        run.measure(ins_labels[1], out_labels[1])
-    elif name in ("Init0", "Init1"):
-        run.init_qubit(out_labels[0], 1 if name == "Init1" else 0)
-    elif name == "Discard":
-        run.discard(ins_labels[0])
-    else:
-        raise UnsupportedGate(f"no semantics for gate {name}")
+    """Execute one run of c, sampling measurement outcomes: the one-shot walk."""
+    (trace,) = branch_states(c, init, 1, seed, gateset, max_qubits)
+    return trace
 
 
 def branch_distribution(
@@ -260,14 +271,92 @@ def branch_distribution(
     gateset: GateSet = DEFAULT_GATES,
     max_qubits: int = DEFAULT_MAX_QUBITS,
 ) -> dict[Assignment, int]:
-    """Empirical distribution of sampled paths over a number of shots."""
+    """Shot counts per path of the lifting tree, zero counts included.
+
+    The counts have the law of that many independent runs: a multinomial
+    over the paths with their exact Born probabilities.
+    """
     sig = check_signature(c, gateset)
     counts: dict[Assignment, int] = {p: 0 for p in path_set(sig.tree)}
-    streams = np.random.SeedSequence(seed).spawn(shots)
-    for stream in streams:
-        trace = simulate(c, init, np.random.default_rng(stream), gateset, max_qubits)
-        counts[trace.path] += 1
+    for trace in _walk(c, sig, init, shots, seed, max_qubits):
+        counts[trace.path] += trace.shots
     return counts
+
+
+def _walk(
+    c: Circuit,
+    sig: CircuitSignature,
+    init: QuantumState | None,
+    shots: int | None,
+    seed: int | np.random.Generator,
+    max_qubits: int,
+) -> list[RunTrace]:
+    if shots is not None and not 0 <= shots <= MAX_SHOTS:
+        raise SimulationError(f"shot count must be between 0 and {MAX_SHOTS}, got {shots}")
+    if init is None:
+        init = QuantumState.product(c.input)
+    in_qubits = {n for n, w in c.input.entries if w is QUBIT}
+    in_bits = {n for n, w in c.input.entries if w is BIT}
+    if set(init.qubit_order) != in_qubits or set(init.classical) != in_bits:
+        raise SimulationError("initial state does not cover the circuit inputs")
+    if len(in_qubits) > max_qubits:
+        raise SimulationError(f"more than {max_qubits} input qubits")
+    rng = np.random.default_rng(seed)
+    order = list(init.qubit_order)
+    state = init.amplitudes.astype(complex).reshape([2] * len(order))
+    live = [_Branch(order, state, dict(init.classical), {}, 1.0, shots)] if shots != 0 else []
+    for ins in c.instructions:
+        after: list[_Branch] = []
+        for branch in live:
+            if not branch.satisfies(ins.cond):
+                after.append(branch)
+            elif isinstance(ins, LiftInstr):
+                branch.lift(ins.wire, ins.var)
+                after.append(branch)
+            else:
+                after.extend(_apply_gate(branch, ins, rng, max_qubits))
+        live = after
+    return [_finish(branch, sig) for branch in live]
+
+
+def _apply_gate(branch: _Branch, ins: GateApp, rng: np.random.Generator, max_qubits: int) -> list[_Branch]:
+    """Apply one gate to one branch; returns the branches it leaves."""
+    name = ins.gate
+    ins_labels = mvalue_labels(ins.inputs)
+    out_labels = mvalue_labels(ins.outputs)
+    if name in _ONE_QUBIT:
+        branch.apply_1q(_ONE_QUBIT[name], ins_labels[0], out_labels[0])
+    elif name == "CNOT":
+        branch.apply_cnot(ins_labels[0], ins_labels[1], out_labels[0], out_labels[1])
+    elif name == "Meas":
+        return branch.measure(ins_labels[0], out_labels[0], rng)
+    elif name == "Meas2":
+        return [
+            second
+            for first in branch.measure(ins_labels[0], out_labels[0], rng)
+            for second in first.measure(ins_labels[1], out_labels[1], rng)
+        ]
+    elif name in ("Init0", "Init1"):
+        branch.init_qubit(out_labels[0], 1 if name == "Init1" else 0, max_qubits)
+    elif name == "Discard":
+        branch.discard(ins_labels[0])
+    else:
+        raise UnsupportedGate(f"no semantics for gate {name}")
+    return [branch]
+
+
+def _finish(branch: _Branch, sig: CircuitSignature) -> RunTrace:
+    """Check a branch's live wires against the signature at its path."""
+    path = Assignment.of(branch.lifted)
+    try:
+        expected = lookup(sig.outputs, path)
+    except InvalidBranch:  # pragma: no cover - signature guarantees it
+        raise SimulationError(f"branch assignment {path} is not a path of the lifting tree") from None
+    live = set(branch.order) | set(branch.classical)
+    if live != expected.domain():  # pragma: no cover - signature guarantees it
+        raise SimulationError(f"live wires {sorted(live)} differ from signature {expected}")
+    final = QuantumState(tuple(branch.order), branch.state, branch.classical)
+    return RunTrace(path, branch.lifted, expected, final, branch.probability, branch.shots)
 
 
 def parse_init_spec(text: str) -> dict[str, object]:

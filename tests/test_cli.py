@@ -104,6 +104,16 @@ class TestSim:
         payload = json.loads(out)
         assert payload["counts"] == {"u=0": 0, "u=1": 50}
 
+    def test_sim_rejects_zero_shots(self, capsys):
+        code, _, err = run_cli(capsys, "sim", PROGRAMS / "one_way_run.pqk", "--shots", "0")
+        assert code == 1
+        assert "--shots" in err
+
+    def test_sim_rejects_negative_shots(self, capsys):
+        code, _, err = run_cli(capsys, "sim", PROGRAMS / "one_way_run.pqk", "--shots", "-3")
+        assert code == 1
+        assert "--shots" in err
+
 
 class TestCircuit:
     def test_render_is_pure_observer(self, tmp_path, capsys):

@@ -1,21 +1,29 @@
 from __future__ import annotations
 
 import math
+import random
 
 import numpy as np
 import pytest
 
-from pqk.circuit import LabelContext, QUBIT, BIT
+import pqk.simulator
+from pqk.circuit import LabelContext, QUBIT, BIT, check_signature
 from pqk.errors import SimulationError, UnsupportedGate
+from pqk.fuzz import GenConfig, gen_corpus
+from pqk.interp import Done, EvalEnv, run_closed
 from pqk.parser import parse_circuit_text
 from pqk.simulator import (
     QuantumState,
     branch_distribution,
+    branch_states,
     fidelity,
     parse_init_spec,
     simulate,
 )
-from pqk.trees import Assignment
+from pqk.trees import Assignment, path_set
+
+from circuit_gen import random_circuit
+from oracles import dense_branches
 
 
 def a(**kw):
@@ -167,3 +175,170 @@ class TestStateHelpers:
         s1 = QuantumState(("a", "b"), bell)
         s2 = QuantumState(("b", "a"), bell.T)
         assert fidelity(s1, s2) == pytest.approx(1.0)
+
+
+def random_init(c, rng: np.random.Generator) -> QuantumState:
+    spec = {name: random_qubit(rng) if wire is QUBIT else int(rng.integers(2))
+            for name, wire in c.input.entries}
+    return QuantumState.product(c.input, spec)
+
+
+def path_probabilities(c, init=None) -> dict[Assignment, float]:
+    probs: dict[Assignment, float] = {}
+    for trace in branch_states(c, init):
+        probs[trace.path] = probs.get(trace.path, 0.0) + trace.probability
+    return probs
+
+
+# Branches below this probability are rounding noise (an amplitude that
+# should cancel to 0 but leaves ~1e-17); the walk and the dense reference
+# may keep or drop them differently.
+NEGLIGIBLE = 1e-12
+
+
+def assert_matches_dense(c, init: QuantumState):
+    got = branch_states(c, init)
+    assert abs(sum(t.probability for t in got) - 1.0) <= 1e-9
+    pending = [r for r in dense_branches(c, list(init.qubit_order), init.amplitudes.reshape(-1), init.classical)
+               if r.probability > NEGLIGIBLE]
+    for trace in got:
+        if trace.probability <= NEGLIGIBLE:
+            continue
+        same_outcome = [
+            (fidelity(trace.state, QuantumState(tuple(r.register), r.vector.reshape([2] * len(r.register)))), r)
+            for r in pending
+            if Assignment.of(r.lifted) == trace.path and r.classical == trace.state.classical
+            and set(r.register) == set(trace.state.qubit_order)
+        ]
+        assert same_outcome, f"no reference branch for {trace.path} {trace.state.classical}"
+        fid, ref = min(same_outcome, key=lambda fr: abs(fr[1].probability - trace.probability) + 1 - fr[0])
+        assert abs(ref.probability - trace.probability) <= 1e-9, (trace.path, ref.probability, trace.probability)
+        assert fid >= 1 - 1e-9, (trace.path, fid)
+        pending.remove(ref)
+    assert pending == [], f"reference branches the walk lacks: {pending}"
+
+
+class TestExactWalk:
+    def test_matches_dense_reference_on_random_circuits(self):
+        rng = random.Random(505)
+        state_rng = np.random.default_rng(505)
+        for _ in range(200):
+            c = random_circuit(rng, steps=8)
+            assert_matches_dense(c, random_init(c, state_rng))
+
+    def test_matches_dense_reference_on_examples(self):
+        state_rng = np.random.default_rng(506)
+        for c in (TELEPORT, MEAS_LIFT):
+            for _ in range(5):
+                assert_matches_dense(c, random_init(c, state_rng))
+
+    def test_teleportation_quarter_per_path(self):
+        psi = random_qubit(np.random.default_rng(19))
+        init = QuantumState.product(TELEPORT.input, {"q0": psi})
+        traces = branch_states(TELEPORT, init)
+        assert sorted(str(t.path) for t in traces) == sorted(str(p) for p in path_set(check_signature(TELEPORT).tree))
+        reference = QuantumState(("out",), np.asarray(psi, dtype=complex))
+        for trace in traces:
+            assert trace.probability == pytest.approx(0.25, abs=1e-9)
+            assert trace.shots is None
+            assert fidelity(reference, QuantumState(("out",), trace.state.amplitudes)) >= 1 - 1e-9
+
+    def test_meas_lift_half_per_path(self):
+        assert path_probabilities(MEAS_LIFT) == pytest.approx({a(u=0): 0.5, a(u=1): 0.5}, abs=1e-9)
+
+    def test_certain_outcome_is_one_branch(self):
+        c = parse_circuit_text("input(q:Qubit); Meas(q) -> x; lift(x) => u;")
+        init = QuantumState.product(c.input, {"q": "1"})
+        assert path_probabilities(c, init) == {a(u=1): 1.0}
+
+    def test_unlifted_measurement_keeps_both_outcomes(self):
+        c = parse_circuit_text("input(q:Qubit); H(q) -> q1; Meas(q1) -> x;")
+        traces = branch_states(c)
+        assert [(t.path, t.state.classical) for t in traces] == [(a(), {"x": 0}), (a(), {"x": 1})]
+        assert [t.probability for t in traces] == pytest.approx([0.5, 0.5])
+
+    def test_condition_reads_the_path_at_the_instruction(self):
+        # v is lifted on both branches of u, but on u = 1 only after the
+        # (v = 0) gate, which therefore does not act there.
+        c = parse_circuit_text("""
+        input(q:Qubit, r:Qubit, k:Qubit);
+        H(q) -> q1;
+        Meas(q1) -> x;
+        lift(x) => u;
+        (u = 0) ? Meas(r) -> y;
+        (u = 0) ? lift(y) => v;
+        (v = 0) ? X(k) -> k1;
+        (u = 1) ? Meas(r) -> z;
+        (u = 1) ? lift(z) => v;
+        """)
+        exact = {t.path: (t.probability, t.outputs.domain()) for t in branch_states(c)}
+        assert exact == {a(u=0, v=0): (0.5, {"k1"}), a(u=1, v=0): (0.5, {"k"})}
+        for seed in range(10):
+            trace = simulate(c, seed=seed)
+            assert trace.outputs.domain() == exact[trace.path][1]
+
+    def test_fuzz_corpus_probabilities_sum_to_one(self):
+        lifting = branching = 0
+        for term in gen_corpus(GenConfig(seed=31, max_depth=6), 100):
+            outcome = run_closed(term, EvalEnv())
+            assert isinstance(outcome, Done)
+            circuit = outcome.config.circuit
+            traces = branch_states(circuit)
+            assert abs(sum(t.probability for t in traces) - 1.0) <= 1e-9
+            lifting += len(path_set(check_signature(circuit).tree)) > 1
+            branching += len(traces) > 1
+        assert lifting >= 20 and branching >= 2
+
+
+class TestShotSplitting:
+    @pytest.fixture
+    def gate_calls(self, monkeypatch):
+        calls = [0]
+        apply_gate = pqk.simulator._apply_gate
+
+        def counted(*args):
+            calls[0] += 1
+            return apply_gate(*args)
+
+        monkeypatch.setattr(pqk.simulator, "_apply_gate", counted)
+        return calls
+
+    def test_gate_applications_do_not_grow_with_shots(self, gate_calls):
+        init = QuantumState.product(TELEPORT.input, {"q0": "+"})
+
+        def applications(run):
+            before = gate_calls[0]
+            run()
+            return gate_calls[0] - before
+
+        few = applications(lambda: branch_distribution(TELEPORT, init, shots=100, seed=3))
+        many = applications(lambda: branch_distribution(TELEPORT, init, shots=10_000, seed=3))
+        exact = applications(lambda: branch_states(TELEPORT, init))
+        assert few == many <= exact
+
+    def test_seeded_counts_repeat_and_sum_to_shots(self):
+        counts = branch_distribution(TELEPORT, shots=777, seed=23)
+        assert counts == branch_distribution(TELEPORT, shots=777, seed=23)
+        assert sum(counts.values()) == 777
+        assert all(type(n) is int for n in counts.values())
+
+    def test_counts_within_five_sigma_of_exact(self):
+        rng = random.Random(606)
+        state_rng = np.random.default_rng(606)
+        shots = 2000
+        for i in range(20):
+            c = random_circuit(rng, steps=8)
+            init = random_init(c, state_rng)
+            exact = path_probabilities(c, init)
+            counts = branch_distribution(c, init, shots=shots, seed=i)
+            assert set(counts) == set(path_set(check_signature(c).tree))
+            for path, count in counts.items():
+                p = min(exact.get(path, 0.0), 1.0)
+                sigma = math.sqrt(shots * p * (1 - p))
+                assert abs(count - shots * p) <= 5 * sigma + 1e-6, (i, path, count, p)
+
+    def test_shot_counts_zero_negative_and_too_large(self):
+        assert branch_distribution(MEAS_LIFT, shots=0) == {a(u=0): 0, a(u=1): 0}
+        for shots in (-1, 2**63):
+            with pytest.raises(SimulationError):
+                branch_distribution(MEAS_LIFT, shots=shots)
