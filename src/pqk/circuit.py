@@ -393,14 +393,6 @@ class Circuit:
                 out.add(ins.wire)
         return out
 
-    def all_lifted_vars(self) -> set[str]:
-        out = set()
-        for ins in self.instructions:
-            out.update(ins.cond.domain())
-            if isinstance(ins, LiftInstr):
-                out.add(ins.var)
-        return out
-
     def __str__(self) -> str:
         return format_circuit(self)
 
@@ -409,10 +401,6 @@ def format_circuit(c: Circuit) -> str:
     head = f"input({c.input})" if c.input else "input()"
     parts = [head] + [str(ins) for ins in c.instructions]
     return ";\n".join(parts) + ";"
-
-
-def empty_circuit() -> Circuit:
-    return Circuit(EMPTY_CONTEXT)
 
 
 # ---------------------------------------------------------------------------
@@ -424,9 +412,6 @@ class CircuitSignature:
     tree: LiftingTree
     input: LabelContext
     outputs: Lifted  # of LabelContext
-
-    def output_at(self, a: Assignment) -> LabelContext:
-        return lookup(self.outputs, a)
 
 
 class SignatureState:

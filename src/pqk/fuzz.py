@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass, field
 
 from .circuit import DEFAULT_GATES, GateSet, M_QUBIT, M_UNIT
-from .errors import PqkError, TypeCheckError
+from .errors import TypeCheckError
 from .interp import Done, EvalEnv, FuelExhausted, Stuck, run_closed
 from .parser import boxed_from_circuit, parse_circuit_text
 from .syntax import (
@@ -41,6 +41,7 @@ from .syntax import (
     Unit,
     Value,
     Var,
+    children,
     embed_mtype,
     format_term,
     is_parameter,
@@ -116,10 +117,6 @@ class Finding:
     program: str
     prop: str
     diagnostic: str
-
-
-class GenerationBudgetExceeded(PqkError):
-    pass
 
 
 @dataclass
@@ -404,37 +401,7 @@ def gen_corpus(cfg: GenConfig, count: int) -> list[Term]:
 
 def count_lifting_applies(term) -> int:
     """Number of apply occurrences naming at least one lifted variable."""
-    n = 0
-
-    def walk(x):
-        nonlocal n
-        if isinstance(x, Apply):
-            if x.vars:
-                n += 1
-            walk(x.boxed)
-            walk(x.arg)
-        elif isinstance(x, (Return, Force, Box)):
-            walk(x.value)
-        elif isinstance(x, App):
-            walk(x.fn)
-            walk(x.arg)
-        elif isinstance(x, Let):
-            walk(x.bound)
-            for m in leaves(x.branches):
-                walk(m)
-        elif isinstance(x, LetPair):
-            walk(x.value)
-            walk(x.body)
-        elif isinstance(x, Lam):
-            walk(x.body)
-        elif isinstance(x, LiftV):
-            walk(x.body)
-        elif isinstance(x, Pair):
-            walk(x.left)
-            walk(x.right)
-
-    walk(term)
-    return n
+    return (type(term) is Apply and bool(term.vars)) + sum(map(count_lifting_applies, children(term)))
 
 
 # ---------------------------------------------------------------------------

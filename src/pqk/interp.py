@@ -43,7 +43,6 @@ from .trees import (
     Assignment,
     EMPTY_ASSIGNMENT,
     Lifted,
-    compose,
     flatten_family,
     from_map,
     leaf,
@@ -98,7 +97,6 @@ class EvalEnv:
     fuel: int = DEFAULT_FUEL
     labels: FreshLabels = field(default_factory=FreshLabels)
     gateset: GateSet = DEFAULT_GATES
-    mutate_skip_let_flatten: bool = False
     findings: list[str] = field(default_factory=list)
 
 
@@ -195,10 +193,6 @@ def eval_config(cfg: LeftConfig, env: EvalEnv) -> EvalOutcome:
                 return sub
             circuit = sub.config.circuit
             results[p] = sub.config.value
-        if env.mutate_skip_let_flatten:
-            first = {p: lookup(r, path_set(r)[0]) for p, r in results.items()}
-            value = compose(phi, first, first.keys())
-            return Done(RightConfig(circuit, value))
         try:
             value = flatten_family(phi, results)
         except VariableClash:

@@ -269,90 +269,100 @@ class Return(Term):
 
 
 # ---------------------------------------------------------------------------
+# Subterms: the one place that knows which fields of a constructor are terms
+
+
+def _no_children(x) -> tuple:
+    return ()
+
+
+def _same(x, f):
+    return x
+
+
+_CHILDREN = {
+    Unit: _no_children,
+    Var: _no_children,
+    LabelVal: _no_children,
+    Boxed: _no_children,  # boxed circuits are closed
+    Lam: lambda x: (x.body,),
+    LiftV: lambda x: (x.body,),
+    Pair: lambda x: (x.left, x.right),
+    App: lambda x: (x.fn, x.arg),
+    Let: lambda x: (x.bound, *trees.leaves(x.branches)),
+    LetPair: lambda x: (x.value, x.body),
+    Force: lambda x: (x.value,),
+    Box: lambda x: (x.value,),
+    Apply: lambda x: (x.boxed, x.arg),
+    Return: lambda x: (x.value,),
+}
+
+_MAP_CHILDREN = {
+    Unit: _same,
+    Var: _same,
+    LabelVal: _same,
+    Boxed: _same,
+    Lam: lambda x, f: Lam(x.var, x.ann, f(x.body), x.span),
+    LiftV: lambda x, f: LiftV(f(x.body), x.span),
+    Pair: lambda x, f: Pair(f(x.left), f(x.right), x.span),
+    App: lambda x, f: App(f(x.fn), f(x.arg), x.span),
+    Let: lambda x, f: Let(x.var, f(x.bound), map_leaves(x.branches, f), x.span),
+    LetPair: lambda x, f: LetPair(x.var1, x.var2, f(x.value), f(x.body), x.span),
+    Force: lambda x, f: Force(f(x.value), x.span),
+    Box: lambda x, f: Box(x.mtype, f(x.value), x.span),
+    Apply: lambda x, f: Apply(x.vars, f(x.boxed), f(x.arg), x.span),
+    Return: lambda x, f: Return(f(x.value), x.span),
+}
+
+
+def children(x: Term | Value) -> tuple:
+    """The immediate subterms and subvalues of x; a let's branches in path order."""
+    return _CHILDREN[type(x)](x)
+
+
+def map_children(x: Term | Value, f):
+    """x with f applied to each immediate subterm and subvalue, fields in
+    order and a let's branches left to right; binders and annotations are kept."""
+    return _MAP_CHILDREN[type(x)](x, f)
+
+
+def _union(sets) -> frozenset[str]:
+    return frozenset().union(*sets)
+
+
+# ---------------------------------------------------------------------------
 # Free names
 
 
 def free_vars(x: Term | Value) -> frozenset[str]:
-    if isinstance(x, (Unit, LabelVal, Boxed)):
-        return frozenset()
-    if isinstance(x, Var):
+    t = type(x)
+    if t is Var:
         return frozenset({x.name})
-    if isinstance(x, Lam):
+    if t is Lam:
         return free_vars(x.body) - {x.var}
-    if isinstance(x, LiftV):
-        return free_vars(x.body)
-    if isinstance(x, Pair):
-        return free_vars(x.left) | free_vars(x.right)
-    if isinstance(x, App):
-        return free_vars(x.fn) | free_vars(x.arg)
-    if isinstance(x, Let):
-        branch_fv = frozenset().union(*(free_vars(m) for m in trees.leaves(x.branches)))
+    if t is Let:
+        branch_fv = _union(map(free_vars, trees.leaves(x.branches)))
         return free_vars(x.bound) | (branch_fv - {x.var})
-    if isinstance(x, LetPair):
+    if t is LetPair:
         return free_vars(x.value) | (free_vars(x.body) - {x.var1, x.var2})
-    if isinstance(x, Force):
-        return free_vars(x.value)
-    if isinstance(x, Box):
-        return free_vars(x.value)
-    if isinstance(x, Apply):
-        return free_vars(x.boxed) | free_vars(x.arg)
-    assert isinstance(x, Return)
-    return free_vars(x.value)
+    return _union(map(free_vars, children(x)))
 
 
 def bound_vars(x: Term | Value) -> frozenset[str]:
-    if isinstance(x, (Unit, Var, LabelVal, Boxed)):
-        return frozenset()
-    if isinstance(x, Lam):
-        return frozenset({x.var}) | bound_vars(x.body)
-    if isinstance(x, LiftV):
-        return bound_vars(x.body)
-    if isinstance(x, Pair):
-        return bound_vars(x.left) | bound_vars(x.right)
-    if isinstance(x, App):
-        return bound_vars(x.fn) | bound_vars(x.arg)
-    if isinstance(x, Let):
-        inner = frozenset().union(*(bound_vars(m) for m in trees.leaves(x.branches)))
-        return frozenset({x.var}) | bound_vars(x.bound) | inner
-    if isinstance(x, LetPair):
-        return frozenset({x.var1, x.var2}) | bound_vars(x.value) | bound_vars(x.body)
-    if isinstance(x, Force):
-        return bound_vars(x.value)
-    if isinstance(x, Box):
-        return bound_vars(x.value)
-    if isinstance(x, Apply):
-        return bound_vars(x.boxed) | bound_vars(x.arg)
-    assert isinstance(x, Return)
-    return bound_vars(x.value)
+    out = _union(map(bound_vars, children(x)))
+    t = type(x)
+    if t is Lam or t is Let:
+        return out | {x.var}
+    if t is LetPair:
+        return out | {x.var1, x.var2}
+    return out
 
 
 def free_labels(x: Term | Value) -> frozenset[str]:
     """Labels occurring free; boxed circuits are label-closed."""
-    if isinstance(x, (Unit, Var, Boxed)):
-        return frozenset()
-    if isinstance(x, LabelVal):
+    if type(x) is LabelVal:
         return frozenset({x.name})
-    if isinstance(x, Lam):
-        return free_labels(x.body)
-    if isinstance(x, LiftV):
-        return free_labels(x.body)
-    if isinstance(x, Pair):
-        return free_labels(x.left) | free_labels(x.right)
-    if isinstance(x, App):
-        return free_labels(x.fn) | free_labels(x.arg)
-    if isinstance(x, Let):
-        inner = frozenset().union(*(free_labels(m) for m in trees.leaves(x.branches)))
-        return free_labels(x.bound) | inner
-    if isinstance(x, LetPair):
-        return free_labels(x.value) | free_labels(x.body)
-    if isinstance(x, Force):
-        return free_labels(x.value)
-    if isinstance(x, Box):
-        return free_labels(x.value)
-    if isinstance(x, Apply):
-        return free_labels(x.boxed) | free_labels(x.arg)
-    assert isinstance(x, Return)
-    return free_labels(x.value)
+    return _union(map(free_labels, children(x)))
 
 
 def type_free_lifted_vars(a: PqkType) -> frozenset[str]:
@@ -375,77 +385,16 @@ def type_free_lifted_vars(a: PqkType) -> frozenset[str]:
 
 
 def free_lifted_vars(x: Term | Value) -> frozenset[str]:
-    if isinstance(x, (Unit, LabelVal, Var, Boxed)):
-        return frozenset()  # boxed circuits abstract their lifted variables
-    if isinstance(x, Lam):
-        return type_free_lifted_vars(x.ann) | free_lifted_vars(x.body)
-    if isinstance(x, LiftV):
-        return free_lifted_vars(x.body)
-    if isinstance(x, Pair):
-        return free_lifted_vars(x.left) | free_lifted_vars(x.right)
-    if isinstance(x, App):
-        return free_lifted_vars(x.fn) | free_lifted_vars(x.arg)
-    if isinstance(x, Let):
-        out = free_lifted_vars(x.bound) | all_vars(x.branches)
-        for m in trees.leaves(x.branches):
-            out |= free_lifted_vars(m)
-        return frozenset(out)
-    if isinstance(x, LetPair):
-        return free_lifted_vars(x.value) | free_lifted_vars(x.body)
-    if isinstance(x, Force):
-        return free_lifted_vars(x.value)
-    if isinstance(x, Box):
-        return free_lifted_vars(x.value)
-    if isinstance(x, Apply):
-        return frozenset(x.vars) | free_lifted_vars(x.boxed) | free_lifted_vars(x.arg)
-    assert isinstance(x, Return)
-    return free_lifted_vars(x.value)
-
-
-# ---------------------------------------------------------------------------
-# Renaming of lifted variables (uniform over terms and types)
-
-
-def rename_lifted_type(a: PqkType, pi: Renaming) -> PqkType:
-    if isinstance(a, (UnitType, WireT)):
-        return a
-    if isinstance(a, ArrowType):
-        return ArrowType(
-            rename_lifted_type(a.dom, pi),
-            rename_lifted(a.cod, pi, lambda t: rename_lifted_type(t, pi)),
-        )
-    if isinstance(a, BangType):
-        return BangType(rename_lifted(a.inner, pi, lambda t: rename_lifted_type(t, pi)))
-    if isinstance(a, CircType):
-        return a  # abstracted variables are untouched by outer renamings
-    assert isinstance(a, TensorType)
-    return TensorType(rename_lifted_type(a.left, pi), rename_lifted_type(a.right, pi))
-
-
-def rename_lifted_term(x: Term | Value, pi: Renaming):
-    rec = lambda y: rename_lifted_term(y, pi)
-    if isinstance(x, (Unit, Var, LabelVal, Boxed)):
-        return x
-    if isinstance(x, Lam):
-        return Lam(x.var, rename_lifted_type(x.ann, pi), rec(x.body), x.span)
-    if isinstance(x, LiftV):
-        return LiftV(rec(x.body), x.span)
-    if isinstance(x, Pair):
-        return Pair(rec(x.left), rec(x.right), x.span)
-    if isinstance(x, App):
-        return App(rec(x.fn), rec(x.arg), x.span)
-    if isinstance(x, Let):
-        return Let(x.var, rec(x.bound), rename_lifted(x.branches, pi, rec), x.span)
-    if isinstance(x, LetPair):
-        return LetPair(x.var1, x.var2, rec(x.value), rec(x.body), x.span)
-    if isinstance(x, Force):
-        return Force(rec(x.value), x.span)
-    if isinstance(x, Box):
-        return Box(x.mtype, rec(x.value), x.span)
-    if isinstance(x, Apply):
-        return Apply(tuple(pi(v) for v in x.vars), rec(x.boxed), rec(x.arg), x.span)
-    assert isinstance(x, Return)
-    return Return(rec(x.value), x.span)
+    """Lifted variables occurring free; boxed circuits abstract theirs."""
+    out = _union(map(free_lifted_vars, children(x)))
+    t = type(x)
+    if t is Lam:
+        return type_free_lifted_vars(x.ann) | out
+    if t is Let:
+        return all_vars(x.branches) | out
+    if t is Apply:
+        return frozenset(x.vars) | out
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -479,83 +428,58 @@ def substitute(m, v: Value, x: str):
 
 
 def _freshen(m, avoid: frozenset[str], names: _FreshNames):
-    rec = lambda y: _freshen(y, avoid, names)
-    if isinstance(m, (Unit, Var, LabelVal, Boxed)):
-        return m
-    if isinstance(m, Lam):
-        if m.var in avoid:
+    """m with every binder in avoid renamed to a fresh name.
+
+    The names are drawn in a fixed order, since they show in the output: a
+    lambda's before its body, a let's after its bound term and before its
+    branches, and a pair destructor's after its body and before its value.
+    """
+
+    def rec(m):
+        t = type(m)
+        if t is Lam and m.var in avoid:
             new = names.fresh(m.var)
-            body = _subst(rec(m.body), Var(new), m.var)
-            return Lam(new, m.ann, body, m.span)
-        return Lam(m.var, m.ann, rec(m.body), m.span)
-    if isinstance(m, LiftV):
-        return LiftV(rec(m.body), m.span)
-    if isinstance(m, Pair):
-        return Pair(rec(m.left), rec(m.right), m.span)
-    if isinstance(m, App):
-        return App(rec(m.fn), rec(m.arg), m.span)
-    if isinstance(m, Let):
-        bound = rec(m.bound)
-        if m.var in avoid:
+            return Lam(new, m.ann, _subst(rec(m.body), Var(new), m.var), m.span)
+        if t is Let and m.var in avoid:
+            bound = rec(m.bound)
             new = names.fresh(m.var)
-            branches = map_leaves(m.branches, lambda t: _subst(rec(t), Var(new), m.var))
+            branches = map_leaves(m.branches, lambda n: _subst(rec(n), Var(new), m.var))
             return Let(new, bound, branches, m.span)
-        return Let(m.var, bound, map_leaves(m.branches, rec), m.span)
-    if isinstance(m, LetPair):
-        v1, v2, body = m.var1, m.var2, rec(m.body)
-        if v1 in avoid:
-            new = names.fresh(v1)
-            body = _subst(body, Var(new), v1)
-            v1 = new
-        if v2 in avoid:
-            new = names.fresh(v2)
-            body = _subst(body, Var(new), v2)
-            v2 = new
-        return LetPair(v1, v2, rec(m.value), body, m.span)
-    if isinstance(m, Force):
-        return Force(rec(m.value), m.span)
-    if isinstance(m, Box):
-        return Box(m.mtype, rec(m.value), m.span)
-    if isinstance(m, Apply):
-        return Apply(m.vars, rec(m.boxed), rec(m.arg), m.span)
-    assert isinstance(m, Return)
-    return Return(rec(m.value), m.span)
+        if t is LetPair:
+            v1, v2, body = m.var1, m.var2, rec(m.body)
+            if v1 in avoid:
+                new = names.fresh(v1)
+                body = _subst(body, Var(new), v1)
+                v1 = new
+            if v2 in avoid:
+                new = names.fresh(v2)
+                body = _subst(body, Var(new), v2)
+                v2 = new
+            return LetPair(v1, v2, rec(m.value), body, m.span)
+        return map_children(m, rec)
+
+    return rec(m)
 
 
 def _subst(m, v: Value, x: str):
-    rec = lambda y: _subst(y, v, x)
-    if isinstance(m, Var):
-        return v if m.name == x else m
-    if isinstance(m, (Unit, LabelVal, Boxed)):
-        return m
-    if isinstance(m, Lam):
-        if m.var == x:
-            return m
-        return Lam(m.var, m.ann, rec(m.body), m.span)
-    if isinstance(m, LiftV):
-        return LiftV(rec(m.body), m.span)
-    if isinstance(m, Pair):
-        return Pair(rec(m.left), rec(m.right), m.span)
-    if isinstance(m, App):
-        return App(rec(m.fn), rec(m.arg), m.span)
-    if isinstance(m, Let):
-        bound = rec(m.bound)
-        if m.var == x:
-            return Let(m.var, bound, m.branches, m.span)
-        return Let(m.var, bound, map_leaves(m.branches, rec), m.span)
-    if isinstance(m, LetPair):
-        value = rec(m.value)
-        if x in (m.var1, m.var2):
-            return LetPair(m.var1, m.var2, value, m.body, m.span)
-        return LetPair(m.var1, m.var2, value, rec(m.body), m.span)
-    if isinstance(m, Force):
-        return Force(rec(m.value), m.span)
-    if isinstance(m, Box):
-        return Box(m.mtype, rec(m.value), m.span)
-    if isinstance(m, Apply):
-        return Apply(m.vars, rec(m.boxed), rec(m.arg), m.span)
-    assert isinstance(m, Return)
-    return Return(rec(m.value), m.span)
+    """m with v for the free occurrences of x, without freshening binders."""
+
+    def rec(m):
+        t = type(m)
+        if t is Var:
+            return v if m.name == x else m
+        if t is Lam:
+            if m.var == x:
+                return m
+        elif t is Let:
+            if m.var == x:
+                return Let(m.var, rec(m.bound), m.branches, m.span)
+        elif t is LetPair:
+            if x == m.var1 or x == m.var2:
+                return LetPair(m.var1, m.var2, rec(m.value), m.body, m.span)
+        return map_children(m, rec)
+
+    return rec(m)
 
 
 # ---------------------------------------------------------------------------

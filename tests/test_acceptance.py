@@ -20,7 +20,7 @@ from pqk.circuit import boxed_equiv, check_signature, rename_labels_circuit, \
     rename_labels_signature, rename_lifted_circuit, rename_lifted_signature
 from pqk.errors import VariableClash
 from pqk.fuzz import GenConfig, check_progress, check_sr, count_lifting_applies, gen_corpus
-from pqk.interp import Done, EvalEnv, Stuck, run_closed
+from pqk.interp import Done, Stuck, run_closed
 from pqk.parser import boxed_from_circuit, parse_circuit_text, parse_program, parse_type_text
 from pqk.simulator import QuantumState, branch_distribution, fidelity, simulate
 from pqk.syntax import Boxed, types_equal
@@ -43,6 +43,7 @@ from pqk.typecheck import check_closed_term, check_closed_value, typecheck_close
 
 from circuit_gen import random_circuit
 from oracles import flatten_map, graft_map, random_lifted, random_tree
+from mutants import skip_let_flatten
 
 PROGRAMS = pathlib.Path(__file__).resolve().parent.parent / "programs"
 REPO = PROGRAMS.parent
@@ -214,17 +215,17 @@ class TestAcceptance:
         assert elapsed < 60.0
         report(5, f"500 generated programs: every Done re-typechecks ({lifting} with lifts)", started)
 
-    def test_6_progress_fuzz_and_mutation(self):
+    def test_6_progress_fuzz_and_mutation(self, monkeypatch):
         started = time.monotonic()
         for term in corpus():
             finding = check_progress(term, fuel=10**6)
             assert finding is None
         # mutation check: disabling the let-rule flatten must be caught
         crafted = parse_program((PROGRAMS / "measure_when.pqk").read_text()).main
-        mutated_env = lambda: EvalEnv(mutate_skip_let_flatten=True)
-        findings = [check_sr(crafted, env_factory=mutated_env)]
+        skip_let_flatten(monkeypatch)
+        findings = [check_sr(crafted)]
         for term in corpus()[:50]:
-            f = check_sr(term, env_factory=mutated_env, shrink=False)
+            f = check_sr(term, shrink=False)
             if f:
                 findings.append(f)
         assert any(f is not None for f in findings)

@@ -16,10 +16,12 @@ from pqk.fuzz import (
     seed_boxes,
     shrink_finding,
 )
-from pqk.interp import EvalEnv, Stuck, run_closed
+from pqk.interp import Stuck, run_closed
 from pqk.parser import parse_program, parse_term
 from pqk.syntax import Return, Unit, format_term
 from pqk.typecheck import check_closed_term
+
+from mutants import skip_let_flatten
 
 PROGRAMS = pathlib.Path(__file__).resolve().parent.parent / "programs"
 
@@ -77,18 +79,17 @@ class TestChecks:
 
 
 class TestMutationSensitivity:
-    def test_crafted_program_detected(self):
+    def test_crafted_program_detected(self, monkeypatch):
         term = parse_program((PROGRAMS / "measure_when.pqk").read_text()).main
-        finding = check_sr(term, env_factory=lambda: EvalEnv(mutate_skip_let_flatten=True))
+        skip_let_flatten(monkeypatch)
+        finding = check_sr(term)
         assert finding is not None
         assert finding.prop == "subject-reduction"
 
-    def test_corpus_detects_mutation(self):
+    def test_corpus_detects_mutation(self, monkeypatch):
         corpus = gen_corpus(GenConfig(seed=99, max_depth=6), 40)
-        findings = [
-            check_sr(t, env_factory=lambda: EvalEnv(mutate_skip_let_flatten=True), shrink=False)
-            for t in corpus
-        ]
+        skip_let_flatten(monkeypatch)
+        findings = [check_sr(t, shrink=False) for t in corpus]
         assert any(f is not None for f in findings)
 
 
@@ -113,11 +114,11 @@ class TestShrinking:
         shrunk = shrink_finding(parse_term("let x = return * in return (x, *)"), still_fails)
         assert isinstance(shrunk, Return)
 
-    def test_mutation_finding_is_minimized_and_replayable(self):
+    def test_mutation_finding_is_minimized_and_replayable(self, monkeypatch):
         term = parse_program((PROGRAMS / "measure_when.pqk").read_text()).main
-        factory = lambda: EvalEnv(mutate_skip_let_flatten=True)
-        finding = check_sr(term, env_factory=factory)
+        skip_let_flatten(monkeypatch)
+        finding = check_sr(term)
         assert finding is not None
         replayed = parse_term(finding.program)
         check_closed_term(replayed)
-        assert check_sr(replayed, env_factory=factory, shrink=False) is not None
+        assert check_sr(replayed, shrink=False) is not None

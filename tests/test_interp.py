@@ -29,6 +29,8 @@ from pqk.syntax import Boxed, LabelVal, Force, Return, Unit, format_lifted_value
 from pqk.trees import EMPTY_ASSIGNMENT, Assignment, TreeNode, EMPTY_TREE, leaf, lookup, node
 from pqk.typecheck import check_closed_term, typecheck_closed_right_config
 
+from mutants import skip_let_flatten
+
 PROGRAMS = pathlib.Path(__file__).resolve().parent.parent / "programs"
 
 
@@ -165,10 +167,11 @@ class TestEvalProperties:
             report = typecheck_closed_right_config(out.config.circuit, out.config.value, expected)
             assert report.ok, (name, report.failures)
 
-    def test_mutated_let_breaks_subject_reduction(self):
+    def test_mutated_let_breaks_subject_reduction(self, monkeypatch):
         term = load("measure_when.pqk")
         expected = check_closed_term(term)
-        out = run_closed(term, EvalEnv(mutate_skip_let_flatten=True))
+        skip_let_flatten(monkeypatch)
+        out = run_closed(term, EvalEnv())
         assert isinstance(out, Done)
         report = typecheck_closed_right_config(out.config.circuit, out.config.value, expected)
         assert not report.ok

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -33,16 +34,20 @@ from pqk.syntax import (
     BIT_TYPE,
     Return,
     TensorType,
+    Term,
     UNIT_TYPE,
     Unit,
+    Value,
     Var,
     alpha_equiv,
+    children,
     format_term,
     format_type,
     format_value,
     free_labels,
     free_lifted_vars,
     free_vars,
+    map_children,
     substitute,
     types_equal,
 )
@@ -208,6 +213,12 @@ class TestFreeNames:
         t = parse_term("let x = return * in case u { 0 => return x | 1 => return x }")
         assert "u" in free_lifted_vars(t)
 
+    def test_free_lifted_vars_of_fun_annotation(self):
+        # the lifted codomain of a binder's annotation names u freely
+        t = parse_term("(fun (f : Qubit -o <u ? Qubit | Bit>) -> return *) *")
+        assert free_lifted_vars(t) == {"u"}
+        assert free_vars(t) == frozenset()
+
 
 class TestSubstitution:
     def test_var_hit(self):
@@ -232,6 +243,33 @@ class TestSubstitution:
         assert out.var != "y"
         assert free_vars(out) == {"y"}
 
+    def test_capture_avoided_under_let(self):
+        # fresh names are drawn from the bound term first, then for the let's
+        # binder, then from the branches
+        m = parse_term(
+            "let y = (fun (y : Unit) -> return (x, y)) x in"
+            " case u { 0 => (fun (y : Unit) -> return (x, y)) y | 1 => return (x, y) }"
+        )
+        out = substitute(m, Var("y"), "x")
+        assert format_term(out) == (
+            "let y_2 = (fun (y_1 : Unit) -> return (y, y_1)) y in"
+            " case u { 0 => (fun (y_3 : Unit) -> return (y, y_3)) y_2 | 1 => return (y, y_2) }"
+        )
+
+    def test_capture_avoided_under_both_pair_binders(self):
+        m = parse_term("let (a, b) = (x, *) in return ((x, a), b)")
+        out = substitute(m, Pair(Var("a"), Var("b")), "x")
+        assert format_term(out) == "let (a_1, b_1) = ((a, b), *) in return (((a, b), a_1), b_1)"
+
+    def test_pair_binder_freshening_order(self):
+        # body first, then the two binders, then the destructured value
+        m = parse_term("let (a, b) = (fun (a : Unit) -> return (x, a), x) in (fun (b : Unit) -> return (x, b)) a")
+        out = substitute(m, Pair(Var("a"), Var("b")), "x")
+        assert format_term(out) == (
+            "let (a_1, b_2) = (fun (a_2 : Unit) -> return ((a, b), a_2), (a, b)) in"
+            " (fun (b_1 : Unit) -> return ((a, b), b_1)) a_1"
+        )
+
     def test_free_vars_contract(self):
         rng = random.Random(13)
         for _ in range(50):
@@ -242,6 +280,60 @@ class TestSubstitution:
             x = rng.choice(fv)
             out = substitute(m, Var("fresh_z"), x)
             assert free_vars(out) <= (free_vars(m) - {x}) | {"fresh_z"}
+
+
+def _concrete_subclasses(base):
+    out = set()
+    for sub in base.__subclasses__():
+        out.add(sub)
+        out |= _concrete_subclasses(sub)
+    return out
+
+
+class TestChildren:
+    # one instance of every constructor, each with all its subterm fields filled
+    SAMPLES = {
+        Unit: Unit(),
+        Var: Var("x"),
+        LabelVal: LabelVal("l"),
+        Lam: parse_value("fun (x : Qubit -o <u ? Qubit | Bit>) -> return x"),
+        LiftV: parse_value("lift return *"),
+        Boxed: Boxed(boxed_from_circuit(Circuit(LabelContext.of({"l": QUBIT})))),
+        Pair: parse_value("(x, l)"),
+        App: parse_term("f x"),
+        Let: parse_term("let x = return * in case s { 0 => return x | 1 => case u { 0 => return * | 1 => f x } }"),
+        LetPair: parse_term("let (x, y) = z in return (y, x)"),
+        Force: parse_term("force f"),
+        Box: parse_term("box[Qubit] f"),
+        Apply: parse_term("apply[u](f, x)"),
+        Return: parse_term("return x"),
+    }
+
+    def test_every_constructor_has_a_sample(self):
+        assert set(self.SAMPLES) == _concrete_subclasses(Term) | _concrete_subclasses(Value)
+
+    @pytest.mark.parametrize("cls", sorted(SAMPLES, key=lambda c: c.__name__))
+    def test_children_and_map_children_agree(self, cls):
+        x = self.SAMPLES[cls]
+        assert map_children(x, lambda y: y) == x
+        seen = []
+        map_children(x, lambda y: seen.append(y) or y)
+        assert sorted(map(repr, seen)) == sorted(map(repr, children(x)))
+        # f's results take the children's places; binders and annotations stay
+        stub = lambda y: Return(Unit()) if isinstance(y, Term) else Unit()
+        mapped = map_children(x, stub)
+        assert list(children(mapped)) == [stub(y) for y in children(x)]
+        kids = {id(y) for y in children(x)}
+        for f in dataclasses.fields(x):
+            old = getattr(x, f.name)
+            if f.name == "branches":
+                assert mapped.branches.tree() == old.tree()
+            elif id(old) not in kids:
+                assert getattr(mapped, f.name) == old, f.name
+
+    def test_let_children_list_branches_in_path_order(self):
+        m = parse_term("let x = f * in case u { 0 => return x | 1 => case s { 0 => return * | 1 => f x } }")
+        assert [format_term(y) for y in children(m)] == ["f *", "return *", "f x", "return x"]
 
 
 class TestAlphaEquiv:
