@@ -45,11 +45,11 @@ from .trees import (
     Renaming,
     TreeLeaf,
     TreeNode,
-    assignment_set,
     compose,
     flatten,
     graft,
     path_set,
+    update_under,
     var_set,
 )
 from .typecheck import (

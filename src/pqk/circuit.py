@@ -31,14 +31,13 @@ from .trees import (
     LiftingTree,
     Renaming,
     all_vars,
-    extending_paths,
-    graft,
     is_consistent,
     leaf,
     lookup,
     map_leaves,
     preorder_vars,
     rename_lifted,
+    update_under,
     var_set,
     var_sort_key,
 )
@@ -443,10 +442,8 @@ def extend_signature(state: SignatureState, ins: Instruction, gateset: GateSet =
     the earlier instructions, so its cost depends on the lifting tree and the
     live labels, not on the length of the circuit so far.
     """
-    tree, outputs = state.tree, state.outputs
-    if not is_consistent(tree, ins.cond):
+    if not is_consistent(state.tree, ins.cond):
         raise InvalidBranch(f"condition {ins.cond} is not consistent with the lifted state at `{ins}`")
-    branches = extending_paths(tree, ins.cond)
     if isinstance(ins, GateApp):
         gate = gateset.get(ins.gate)
         consumed = context_of_mvalue(ins.inputs, gate.in_type)
@@ -454,36 +451,35 @@ def extend_signature(state: SignatureState, ins: Instruction, gateset: GateSet =
         stale = produced.domain() & state.labels
         if stale:
             raise NonFreshOutput(f"output labels {sorted(stale)} already occur in the circuit at `{ins}`")
-        new_leaves = {}
-        for b in branches:
-            ctx = lookup(outputs, b)
+
+        def apply_gate(b: Assignment, ctx: LabelContext) -> Lifted:
             for name, wire in consumed.entries:
                 have = ctx.get(name)
                 if have is None:
                     raise UnboundLabel(f"label {name} is not live on branch {b} at `{ins}`")
                 if have != wire:
                     raise WrongWireType(f"label {name} is {have}, gate {gate.name} expects {wire} (branch {b})")
-            new_leaves[b] = ctx.remove(consumed.domain()).merge(produced)
-        state.outputs = trees.compose(outputs, new_leaves, new_leaves.keys())
+            return leaf(ctx.remove(consumed.domain()).merge(produced))
+
+        state.outputs = update_under(state.outputs, ins.cond, apply_gate)
         state.labels.update(produced.domain())
         return
     assert isinstance(ins, LiftInstr)
-    live = var_set(tree, ins.cond)
-    if ins.var in live:
+    if ins.var in var_set(state.tree, ins.cond):
         raise StaleLiftedVar(f"lifted variable {ins.var} already live on branch {ins.cond}")
-    reduced = {}
-    for b in branches:
-        ctx = lookup(outputs, b)
+
+    def split(b: Assignment, ctx: LabelContext) -> Lifted:
         have = ctx.get(ins.wire)
         if have is None:
             raise UnboundLabel(f"label {ins.wire} is not live on branch {b} at `{ins}`")
         if have != BIT:
             raise WrongWireType(f"lift needs a Bit wire, {ins.wire} is {have} (branch {b})")
-        reduced[b] = ctx.remove([ins.wire])
-    outputs = trees.compose(outputs, reduced, reduced.keys())
-    split = trees.TreeNode(ins.var, trees.EMPTY_TREE, trees.EMPTY_TREE)
-    state.outputs = graft(outputs, ins.cond, split)
-    state.tree = state.outputs.tree()
+        reduced = leaf(ctx.remove([ins.wire]))
+        return trees.LiftedNode(ins.var, reduced, reduced)
+
+    state.outputs = update_under(state.outputs, ins.cond, split)
+    node = trees.TreeNode(ins.var, trees.EMPTY_TREE, trees.EMPTY_TREE)
+    state.tree = update_under(state.tree, ins.cond, lambda b, _: node)
 
 
 def _signature_state(c: Circuit, gateset: GateSet) -> SignatureState:

@@ -58,9 +58,8 @@ from .trees import (
     from_map,
     leaf,
     leaves,
-    lookup,
     map_leaves,
-    path_set,
+    path_items,
 )
 from .typecheck import (
     Checker,
@@ -272,9 +271,9 @@ class Generator:
         branch_terms: dict = {}
         branch_trees: dict = {}
         branch_types: dict = {}
-        for p in path_set(tree):
+        for p, x_ty in path_items(ty):
             sub_res = dict(rest)
-            sub_res[x] = lookup(ty, p)
+            sub_res[x] = x_ty
             sub = self.gen_term(sub_res, depth - 1)
             branch_terms[p] = sub.term
             branch_trees[p] = sub.tree

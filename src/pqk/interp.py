@@ -48,7 +48,7 @@ from .trees import (
     leaf,
     lookup,
     map_leaves,
-    path_set,
+    path_items,
 )
 from .typecheck import mvalue_to_value, value_to_mvalue
 
@@ -146,8 +146,8 @@ def eval_config(cfg: LeftConfig, env: EvalEnv) -> EvalOutcome:
             return outcome
         inner = outcome.config
         out_tuples = {}
-        for p in path_set(inner.value):
-            mv = value_to_mvalue(lookup(inner.value, p))
+        for p, v in path_items(inner.value):
+            mv = value_to_mvalue(v)
             if mv is None:
                 return Stuck("BoxResultNotMValue", cfg)
             out_tuples[p] = mv
@@ -186,8 +186,8 @@ def eval_config(cfg: LeftConfig, env: EvalEnv) -> EvalOutcome:
         if m.branches.tree() != phi.tree():
             return Stuck("LetBranchMismatch", cfg)
         results: dict[Assignment, Lifted] = {}
-        for p in path_set(phi):
-            branch_term = substitute(lookup(m.branches, p), lookup(phi, p), m.var)
+        for p, v in path_items(phi):
+            branch_term = substitute(lookup(m.branches, p), v, m.var)
             sub = eval_config(LeftConfig(circuit, cfg.branch.union(p), branch_term), env)
             if isinstance(sub, (FuelExhausted, Stuck)):
                 return sub

@@ -59,7 +59,7 @@ from .syntax import (
     Value,
     Var,
     WireT,
-    substitute,
+    _subst,
 )
 from .trees import (
     Assignment,
@@ -206,8 +206,8 @@ class _Parser:
         tok = self.peek()
         if tok.kind != "eof":
             raise PqkSyntaxError(f"trailing input starting at {tok.text!r}", tok.line, tok.col)
-        for name, boxed in circuits.items():
-            main = substitute(main, Boxed(boxed), name)
+        # one pass for every constant; they are closed, so no binder needs freshening
+        main = _subst(main, {name: Boxed(boxed) for name, boxed in circuits.items()})
         return Program(main, circuits)
 
     # -- terms

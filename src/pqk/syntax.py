@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Mapping
 
 from . import circuit as crl
 from . import trees
@@ -424,7 +424,7 @@ def substitute(m, v: Value, x: str):
     clash = free_vars(v)
     if clash and clash & bound_vars(m):
         m = _freshen(m, clash, _FreshNames(clash | free_vars(m) | bound_vars(m)))
-    return _subst(m, v, x)
+    return _subst(m, {x: v})
 
 
 def _freshen(m, avoid: frozenset[str], names: _FreshNames):
@@ -439,21 +439,21 @@ def _freshen(m, avoid: frozenset[str], names: _FreshNames):
         t = type(m)
         if t is Lam and m.var in avoid:
             new = names.fresh(m.var)
-            return Lam(new, m.ann, _subst(rec(m.body), Var(new), m.var), m.span)
+            return Lam(new, m.ann, _subst(rec(m.body), {m.var: Var(new)}), m.span)
         if t is Let and m.var in avoid:
             bound = rec(m.bound)
             new = names.fresh(m.var)
-            branches = map_leaves(m.branches, lambda n: _subst(rec(n), Var(new), m.var))
+            branches = map_leaves(m.branches, lambda n: _subst(rec(n), {m.var: Var(new)}))
             return Let(new, bound, branches, m.span)
         if t is LetPair:
             v1, v2, body = m.var1, m.var2, rec(m.body)
             if v1 in avoid:
                 new = names.fresh(v1)
-                body = _subst(body, Var(new), v1)
+                body = _subst(body, {v1: Var(new)})
                 v1 = new
             if v2 in avoid:
                 new = names.fresh(v2)
-                body = _subst(body, Var(new), v2)
+                body = _subst(body, {v2: Var(new)})
                 v2 = new
             return LetPair(v1, v2, rec(m.value), body, m.span)
         return map_children(m, rec)
@@ -461,25 +461,32 @@ def _freshen(m, avoid: frozenset[str], names: _FreshNames):
     return rec(m)
 
 
-def _subst(m, v: Value, x: str):
-    """m with v for the free occurrences of x, without freshening binders."""
+def _subst(m, sub: Mapping[str, Value]):
+    """m with sub[x] for the free occurrences of each name x in sub, at once,
+    without freshening binders; a binder stops the substitution of its name."""
 
     def rec(m):
         t = type(m)
         if t is Var:
-            return v if m.name == x else m
+            return sub.get(m.name, m)
         if t is Lam:
-            if m.var == x:
-                return m
+            if m.var in sub:
+                return Lam(m.var, m.ann, _shadowed(m.body, sub, (m.var,)), m.span)
         elif t is Let:
-            if m.var == x:
-                return Let(m.var, rec(m.bound), m.branches, m.span)
+            if m.var in sub:
+                branches = map_leaves(m.branches, lambda n: _shadowed(n, sub, (m.var,)))
+                return Let(m.var, rec(m.bound), branches, m.span)
         elif t is LetPair:
-            if x == m.var1 or x == m.var2:
-                return LetPair(m.var1, m.var2, rec(m.value), m.body, m.span)
+            if m.var1 in sub or m.var2 in sub:
+                return LetPair(m.var1, m.var2, rec(m.value), _shadowed(m.body, sub, (m.var1, m.var2)), m.span)
         return map_children(m, rec)
 
-    return rec(m)
+    return rec(m) if sub else m
+
+
+def _shadowed(m, sub: Mapping[str, Value], binders: tuple[str, ...]):
+    """_subst inside the scope of binders, which shadow their names in sub."""
+    return _subst(m, {x: v for x, v in sub.items() if x not in binders})
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import lru_cache
+from operator import itemgetter
 from typing import Any, Callable, Iterable, Mapping
 
 from .errors import AssignmentClash, InvalidBranch, VariableClash
@@ -24,6 +26,7 @@ from .errors import AssignmentClash, InvalidBranch, VariableClash
 _NAME_RE = re.compile(r"^(.*?)(\d*)$")
 
 
+@lru_cache(maxsize=None)
 def var_sort_key(name: str) -> tuple[str, int, str]:
     """Total order on lifted-variable names: stem, then numeric suffix."""
     m = _NAME_RE.match(name)
@@ -235,33 +238,31 @@ def var_set(t: Lifted, a: Assignment) -> frozenset[str]:
     return frozenset({t.var}) | rest
 
 
+def path_items(obj: Lifted) -> list[tuple[Assignment, Any]]:
+    """(path, payload) pairs of obj in path_set order, from one walk and one sort."""
+    keyed = []
+
+    def walk(t: Lifted, trail: tuple[tuple[str, int], ...]):
+        if isinstance(t, LiftedNode):
+            walk(t.zero, trail + ((t.var, 0),))
+            walk(t.one, trail + ((t.var, 1),))
+            return
+        a = _trail_path(trail)
+        keyed.append((tuple((var_sort_key(v), b) for v, b in a.bindings), a, t.value))
+
+    walk(obj, ())
+    keyed.sort(key=itemgetter(0))
+    return [(a, value) for _, a, value in keyed]
+
+
+def _trail_path(trail: Iterable[tuple[str, int]]) -> Assignment:
+    """The path spelled by a root-to-leaf trail of (variable, bit) steps."""
+    return Assignment(tuple(sorted(trail, key=lambda p: var_sort_key(p[0]))))
+
+
 def path_set(t: Lifted) -> list[Assignment]:
     """Root-to-leaf paths of t, in lexicographic order of canonical assignments."""
-    return sorted(_paths(t), key=lambda a: tuple((var_sort_key(v), b) for v, b in a.bindings))
-
-
-def _paths(t: Lifted) -> list[Assignment]:
-    if isinstance(t, LiftedLeaf):
-        return [EMPTY_ASSIGNMENT]
-    assert isinstance(t, LiftedNode)
-    out = []
-    for bit, sub in ((0, t.zero), (1, t.one)):
-        head = Assignment.of({t.var: bit})
-        out.extend(head.union(p) for p in _paths(sub))
-    return out
-
-
-def assignment_set(t: Lifted) -> frozenset[Assignment]:
-    """All assignments consistent with t (A_t); exponential, test/oracle use."""
-    if isinstance(t, LiftedLeaf):
-        return frozenset({EMPTY_ASSIGNMENT})
-    assert isinstance(t, LiftedNode)
-    zero = assignment_set(t.zero)
-    one = assignment_set(t.one)
-    out = set(zero) | set(one)
-    out.update(Assignment.of({t.var: 0}).union(a) for a in zero)
-    out.update(Assignment.of({t.var: 1}).union(b) for b in one)
-    return frozenset(out)
+    return [a for a, _ in path_items(t)]
 
 
 def is_consistent(t: Lifted, a: Assignment) -> bool:
@@ -277,11 +278,26 @@ def is_consistent(t: Lifted, a: Assignment) -> bool:
     return is_consistent(t.zero, a) or is_consistent(t.one, a)
 
 
-def extending_paths(t: Lifted, a: Assignment) -> list[Assignment]:
-    """The paths of t that extend a (P_t^a)."""
-    if not is_consistent(t, a):
-        raise InvalidBranch(f"{a} is not consistent with tree {t.tree()}")
-    return [p for p in path_set(t) if p.extends(a)]
+def update_under(obj: Lifted, cond: Assignment, fn: Callable[[Assignment, Any], Lifted]) -> Lifted:
+    """obj with each leaf whose path extends cond replaced by fn(path, payload).
+
+    One descent: at a node that cond binds it follows cond's bit, elsewhere it
+    visits both children.  A leaf whose path leaves some variable of cond
+    unbound is kept, and every subtree without a replaced leaf is shared.
+    """
+    bits = dict(cond.bindings)
+
+    def walk(t: Lifted, trail: tuple[tuple[str, int], ...], unbound: frozenset[str]) -> Lifted:
+        if not unbound <= all_vars(t):
+            return t  # no path below binds every variable of cond
+        if isinstance(t, LiftedLeaf):
+            return fn(_trail_path(trail), t.value)
+        bit, rest = bits.get(t.var), unbound - {t.var}
+        zero = t.zero if bit == 1 else walk(t.zero, trail + ((t.var, 0),), rest)
+        one = t.one if bit == 0 else walk(t.one, trail + ((t.var, 1),), rest)
+        return t if zero is t.zero and one is t.one else LiftedNode(t.var, zero, one)
+
+    return walk(obj, (), frozenset(bits))
 
 
 def subtree_at(t: Lifted, a: Assignment) -> Lifted:
@@ -299,20 +315,20 @@ def subtree_at(t: Lifted, a: Assignment) -> Lifted:
 
 def lookup(obj: Lifted, a: Assignment) -> Any:
     """Read the map view: the payload at path a."""
-    if isinstance(obj, LiftedLeaf):
-        if a:
-            raise InvalidBranch(f"{a} leftover below a leaf")
-        return obj.value
-    assert isinstance(obj, LiftedNode)
-    bit = a.get(obj.var)
-    if bit is None:
-        raise InvalidBranch(f"path does not bind {obj.var}")
-    return lookup(obj.zero if bit == 0 else obj.one, a.without(obj.var))
+    bits = dict(a.bindings)
+    while isinstance(obj, LiftedNode):
+        bit = bits.pop(obj.var, None)
+        if bit is None:
+            raise InvalidBranch(f"path does not bind {obj.var}")
+        obj = obj.one if bit else obj.zero
+    if bits:
+        raise InvalidBranch(f"{Assignment.of(bits)} leftover below a leaf")
+    return obj.value
 
 
 def to_map(obj: Lifted) -> dict[Assignment, Any]:
     """The lifted object as a finite map from paths to payloads."""
-    return {p: lookup(obj, p) for p in obj.paths()}
+    return dict(path_items(obj))
 
 
 def from_map(t: Lifted, mapping: Mapping[Assignment, Any]) -> Lifted:
@@ -348,7 +364,7 @@ def map_leaves(obj: Lifted, fn: Callable[[Any], Any]) -> Lifted:
 
 def leaves(obj: Lifted) -> list[Any]:
     """Payloads in path order."""
-    return [lookup(obj, p) for p in obj.paths()]
+    return [value for _, value in path_items(obj)]
 
 
 def rename_lifted(obj: Lifted, pi: Renaming, leaf_fn: Callable[[Any], Any] | None = None) -> Lifted:
@@ -376,18 +392,7 @@ def compose(obj: Lifted, family: Mapping[Assignment, Any], index: Iterable[Assig
             raise InvalidBranch(f"{a} is not a path of {obj.tree()}")
         if a not in family:
             raise KeyError(f"family undefined on {a}")
-    return _compose(obj, {a: family[a] for a in index})
-
-
-def _compose(obj: Lifted, family: dict[Assignment, Any]) -> Lifted:
-    if not family:
-        return obj
-    if isinstance(obj, LiftedLeaf):
-        return LiftedLeaf(family[EMPTY_ASSIGNMENT])
-    assert isinstance(obj, LiftedNode)
-    zero = {a.without(obj.var): v for a, v in family.items() if a.get(obj.var) == 0}
-    one = {a.without(obj.var): v for a, v in family.items() if a.get(obj.var) == 1}
-    return LiftedNode(obj.var, _compose(obj.zero, zero), _compose(obj.one, one))
+    return update_under(obj, EMPTY_ASSIGNMENT, lambda p, v: LiftedLeaf(family[p] if p in index else v))
 
 
 @dataclass(frozen=True)
@@ -404,40 +409,50 @@ class Sub:
 
 def flatten(obj: Lifted) -> Lifted:
     """Unfold Sub-tagged leaves into subtrees (the accumulator-set definition)."""
-    return _flatten(obj, frozenset())
-
-
-def _flatten(obj: Lifted, acc: frozenset[str]) -> Lifted:
-    if isinstance(obj, LiftedLeaf):
-        if isinstance(obj.value, Sub):
-            inner = obj.value.inner
-            clash = all_vars(inner) & acc
-            if clash:
-                raise VariableClash(f"flattening reuses {sorted(clash)} already on the path")
-            return inner
-        return obj
-    assert isinstance(obj, LiftedNode)
-    acc = acc | {obj.var}
-    return LiftedNode(obj.var, _flatten(obj.zero, acc), _flatten(obj.one, acc))
+    return flatten_family(obj, {})
 
 
 def flatten_family(obj: Lifted, family: Mapping[Assignment, Lifted]) -> Lifted:
     """The let-shape operation: stick a lifted object under each listed path, then flatten.
 
-    On a lifting tree with a family of trees this is the tree of the let.
+    On a lifting tree with a family of trees this is the tree of the let.  One
+    walk carries each leaf's trail and builds its path once, for the lookup.
     """
-    tagged = compose(obj, {a: Sub(sub) for a, sub in family.items()}, family.keys())
-    return flatten(tagged)
+    found = set()
+
+    def walk(t: Lifted, trail: tuple[tuple[str, int], ...]) -> Lifted:
+        if isinstance(t, LiftedNode):
+            return LiftedNode(t.var, walk(t.zero, trail + ((t.var, 0),)), walk(t.one, trail + ((t.var, 1),)))
+        a = _trail_path(trail)
+        if a in family:
+            found.add(a)
+            inner = family[a]
+        elif isinstance(t.value, Sub):
+            inner = t.value.inner
+        else:
+            return t
+        clash = all_vars(inner) & {v for v, _ in trail}
+        if clash:
+            raise VariableClash(f"flattening reuses {sorted(clash)} already on the path")
+        return inner
+
+    out = walk(obj, ())
+    missing = family.keys() - found
+    if missing:
+        raise InvalidBranch(f"{next(iter(missing))} is not a path of {obj.tree()}")
+    return out
 
 
 def graft(obj: Lifted, a: Assignment, r: Lifted) -> Lifted:
     """obj with a copy of r's shape grafted at every path extending a (obj graft_a r).
 
     Each grafted copy carries the payload of the leaf it replaces, so on a
-    lifting tree the result is the grafted tree.
+    lifting tree the result is the grafted tree.  A variable of r already on
+    such a path makes the node above the copy raise VariableClash.
     """
-    family = {p: const(r, lookup(obj, p)) for p in extending_paths(obj, a)}
-    return flatten_family(obj, family)
+    if not is_consistent(obj, a):
+        raise InvalidBranch(f"{a} is not consistent with tree {obj.tree()}")
+    return update_under(obj, a, lambda path, value: const(r, value))
 
 
 # ---------------------------------------------------------------------------

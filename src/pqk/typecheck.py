@@ -87,6 +87,7 @@ from .trees import (
     leaf,
     lookup,
     map_leaves,
+    path_items,
     path_set,
     rename_lifted,
     subtree_at,
@@ -237,9 +238,9 @@ class Checker:
                 rule="circ", span=span,
             )
         out_types = {}
-        for p in path_set(sig.tree):
+        for p, q in path_items(sig.outputs):
             try:
-                out_types[p] = type_mvalue(lookup(sig.outputs, p), lookup(b.out_tuples, p))
+                out_types[p] = type_mvalue(q, lookup(b.out_tuples, p))
             except CircuitError as exc:
                 raise TypeCheckError(KIND_TYPE_MISMATCH, f"boxed outputs: {exc}",
                                      rule="circ", branch=p, span=span) from exc
@@ -277,8 +278,7 @@ class Checker:
             branch_trees: dict[Assignment, LiftingTree] = {}
             branch_types: dict[Assignment, Lifted] = {}
             residue: TypingContext | None = None
-            for p in path_set(bound.tree):
-                x_type = lookup(bound.type, p)
+            for p, x_type in path_items(bound.type):
                 shadowed = ctx1.get(m.var)
                 inner = ctx1.with_var(m.var, x_type)
                 result, leftover = self.check_term(inner, lookup(m.branches, p))
@@ -343,8 +343,8 @@ class Checker:
                     rule="box", span=m.span,
                 )
             out_types = {}
-            for p in path_set(arrow.cod):
-                mt = as_mtype(lookup(arrow.cod, p))
+            for p, cod in path_items(arrow.cod):
+                mt = as_mtype(cod)
                 if mt is None:
                     raise TypeCheckError(
                         KIND_TYPE_MISMATCH,
@@ -421,8 +421,8 @@ class Checker:
             )
         results = {}
         residue = None
-        for p in path_set(mu):
-            result, leftover = self.check_term(ctx, lookup(mu, p))
+        for p, term in path_items(mu):
+            result, leftover = self.check_term(ctx, term)
             results[p] = result
             if residue is None:
                 residue = leftover
@@ -555,8 +555,7 @@ def typecheck_left_config(
     if sig.input != input_ctx:
         failures.append("circuit input context mismatch")
     term_labels = None
-    for p in path_set(past_tree):
-        have = lookup(sig.outputs, p)
+    for p, have in path_items(sig.outputs):
         want = lookup(outputs, p)
         if p == branch:
             missing = want.domain() - have.domain()
@@ -620,8 +619,7 @@ def typecheck_right_config(
         return ConfigReport(False, failures)
     if sig.input != input_ctx:
         failures.append("circuit input context mismatch")
-    for p in path_set(overall_tree):
-        have = lookup(sig.outputs, p)
+    for p, have in path_items(sig.outputs):
         want = lookup(outputs, p)
         if p.extends(branch):
             sub = _strip(p, branch)

@@ -16,7 +16,9 @@ from pqk.circuit import (
     M_STAR,
     check_signature,
 )
-from pqk.trees import assignment_set, extending_paths, lookup, var_set
+from pqk.trees import lookup, var_set
+
+from oracles import assignment_set, extending_paths
 
 
 def random_circuit(rng: random.Random, steps: int = 8, max_inputs: int = 3) -> Circuit:

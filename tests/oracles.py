@@ -16,7 +16,9 @@ import numpy as np
 
 from pqk.circuit import Circuit, LiftInstr, mvalue_labels
 
+from pqk.errors import InvalidBranch
 from pqk.trees import (
+    EMPTY_ASSIGNMENT,
     EMPTY_TREE,
     Assignment,
     Lifted,
@@ -26,9 +28,30 @@ from pqk.trees import (
     Sub,
     TreeNode,
     all_vars,
+    is_consistent,
     path_set,
     to_map,
 )
+
+
+def assignment_set(t: Lifted) -> frozenset[Assignment]:
+    """All assignments consistent with t (A_t); exponential."""
+    if isinstance(t, LiftedLeaf):
+        return frozenset({EMPTY_ASSIGNMENT})
+    assert isinstance(t, LiftedNode)
+    zero = assignment_set(t.zero)
+    one = assignment_set(t.one)
+    out = set(zero) | set(one)
+    out.update(Assignment.of({t.var: 0}).union(a) for a in zero)
+    out.update(Assignment.of({t.var: 1}).union(b) for b in one)
+    return frozenset(out)
+
+
+def extending_paths(t: Lifted, a: Assignment) -> list[Assignment]:
+    """The paths of t that extend a (P_t^a)."""
+    if not is_consistent(t, a):
+        raise InvalidBranch(f"{a} is not consistent with tree {t.tree()}")
+    return [p for p in path_set(t) if p.extends(a)]
 
 
 def compose_map(obj_map, family, index):

@@ -31,7 +31,6 @@ from pqk.trees import (
     Renaming,
     Sub,
     TreeNode,
-    assignment_set,
     compose,
     flatten,
     graft,
@@ -42,7 +41,7 @@ from pqk.trees import (
 from pqk.typecheck import check_closed_term, check_closed_value, typecheck_closed_right_config
 
 from circuit_gen import random_circuit
-from oracles import flatten_map, graft_map, random_lifted, random_tree
+from oracles import assignment_set, flatten_map, graft_map, random_lifted, random_tree
 from mutants import skip_let_flatten
 
 PROGRAMS = pathlib.Path(__file__).resolve().parent.parent / "programs"

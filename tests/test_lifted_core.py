@@ -24,14 +24,13 @@ from pqk.trees import (
     TreeLeaf,
     TreeNode,
     all_vars,
-    assignment_set,
     graft,
     leaf,
     lifted_to_json,
 )
 from pqk.typecheck import EMPTY_TYPING_CONTEXT, TypingContext, type_value
 
-from oracles import random_lifted, random_tree
+from oracles import assignment_set, random_lifted, random_tree
 
 POOL = ["u", "s", "w", "v"]
 

@@ -183,6 +183,16 @@ class TestCircuitDefs:
         body = prog.main.fn.body
         assert body == Return(Var("HAD"))
 
+    def test_binder_shadows_only_its_own_constant(self):
+        prog = parse_program(
+            "circuit HAD = crl { input(l:Qubit); H(l) -> l2; }\n"
+            "circuit XG = crl { input(l:Qubit); X(l) -> l2; }\n"
+            "let (HAD, k) = p in apply(XG, HAD)"
+        )
+        body = prog.main.body
+        assert body.arg == Var("HAD")
+        assert body.boxed == Boxed(prog.circuits["XG"])
+
     def test_inline_crl_literal(self):
         t = parse_term("apply(crl { input(l:Qubit); H(l) -> l2; }, q)")
         assert isinstance(t.boxed, Boxed)

@@ -17,9 +17,7 @@ from pqk.trees import (
     TreeLeaf,
     TreeNode,
     all_vars,
-    assignment_set,
     compose,
-    extending_paths,
     flatten,
     flatten_family,
     from_map,
@@ -36,7 +34,7 @@ from pqk.trees import (
     var_sort_key,
 )
 
-from oracles import compose_map, flatten_map, graft_map, random_lifted, random_tree
+from oracles import assignment_set, compose_map, extending_paths, flatten_map, graft_map, random_lifted, random_tree
 
 
 def a(**kw):
