@@ -408,31 +408,33 @@ def format_circuit(c: Circuit) -> str:
 
 @dataclass(frozen=True)
 class CircuitSignature:
-    tree: LiftingTree
     input: LabelContext
     outputs: Lifted  # of LabelContext
+
+    @property
+    def tree(self) -> LiftingTree:
+        """The circuit's lifting tree: the shape of its output contexts."""
+        return self.outputs.tree()
 
 
 class SignatureState:
     """The state of the signature fold after a prefix of a circuit.
 
-    `outputs` are the prefix's branch-indexed output contexts and `tree` is
-    their shape, the prefix's lifting tree, kept so that `check_signature`
-    need not rebuild it; `labels` is every label the prefix has used (its input
-    labels and every gate output), against which a new output must be fresh.
-    A state stored on a circuit is never changed again: `append` extends a
-    copy of it.
+    `outputs` are the prefix's branch-indexed output contexts, whose shape is
+    the prefix's lifting tree; `labels` is every label the prefix has used (its
+    input labels and every gate output), against which a new output must be
+    fresh.  A state stored on a circuit is never changed again: `append`
+    extends a copy of it.
     """
 
-    __slots__ = ("tree", "outputs", "labels")
+    __slots__ = ("outputs", "labels")
 
-    def __init__(self, tree: LiftingTree, outputs: Lifted, labels: set[str]):
-        self.tree = tree
+    def __init__(self, outputs: Lifted, labels: set[str]):
         self.outputs = outputs
         self.labels = labels
 
     def copy(self) -> SignatureState:
-        return SignatureState(self.tree, self.outputs, set(self.labels))
+        return SignatureState(self.outputs, set(self.labels))
 
 
 def extend_signature(state: SignatureState, ins: Instruction, gateset: GateSet = DEFAULT_GATES) -> None:
@@ -442,7 +444,7 @@ def extend_signature(state: SignatureState, ins: Instruction, gateset: GateSet =
     the earlier instructions, so its cost depends on the lifting tree and the
     live labels, not on the length of the circuit so far.
     """
-    if not is_consistent(state.tree, ins.cond):
+    if not is_consistent(state.outputs, ins.cond):
         raise InvalidBranch(f"condition {ins.cond} is not consistent with the lifted state at `{ins}`")
     if isinstance(ins, GateApp):
         gate = gateset.get(ins.gate)
@@ -465,7 +467,7 @@ def extend_signature(state: SignatureState, ins: Instruction, gateset: GateSet =
         state.labels.update(produced.domain())
         return
     assert isinstance(ins, LiftInstr)
-    if ins.var in var_set(state.tree, ins.cond):
+    if ins.var in var_set(state.outputs, ins.cond):
         raise StaleLiftedVar(f"lifted variable {ins.var} already live on branch {ins.cond}")
 
     def split(b: Assignment, ctx: LabelContext) -> Lifted:
@@ -478,15 +480,13 @@ def extend_signature(state: SignatureState, ins: Instruction, gateset: GateSet =
         return trees.LiftedNode(ins.var, reduced, reduced)
 
     state.outputs = update_under(state.outputs, ins.cond, split)
-    node = trees.TreeNode(ins.var, trees.EMPTY_TREE, trees.EMPTY_TREE)
-    state.tree = update_under(state.tree, ins.cond, lambda b, _: node)
 
 
 def _signature_state(c: Circuit, gateset: GateSet) -> SignatureState:
     """c's carried state for gateset, folding its instructions on first use."""
     state = c._carried.get(gateset)
     if state is None:
-        state = SignatureState(trees.EMPTY_TREE, leaf(c.input), set(c.input.domain()))
+        state = SignatureState(leaf(c.input), set(c.input.domain()))
         for ins in c.instructions:
             extend_signature(state, ins, gateset)
         c._carried[gateset] = state
@@ -503,7 +503,7 @@ def check_signature(c: Circuit, gateset: GateSet = DEFAULT_GATES) -> CircuitSign
     raises again on every call.
     """
     state = _signature_state(c, gateset)
-    return CircuitSignature(state.tree, c.input, state.outputs)
+    return CircuitSignature(c.input, state.outputs)
 
 
 # ---------------------------------------------------------------------------
@@ -540,19 +540,11 @@ def rename_lifted_circuit(c: Circuit, pi: Renaming) -> Circuit:
 
 
 def rename_labels_signature(sig: CircuitSignature, rho: Renaming) -> CircuitSignature:
-    return CircuitSignature(
-        sig.tree,
-        sig.input.rename(rho),
-        map_leaves(sig.outputs, lambda q: q.rename(rho)),
-    )
+    return CircuitSignature(sig.input.rename(rho), map_leaves(sig.outputs, lambda q: q.rename(rho)))
 
 
 def rename_lifted_signature(sig: CircuitSignature, pi: Renaming) -> CircuitSignature:
-    return CircuitSignature(
-        rename_lifted(sig.tree, pi),
-        sig.input,
-        rename_lifted(sig.outputs, pi),
-    )
+    return CircuitSignature(sig.input, rename_lifted(sig.outputs, pi))
 
 
 # ---------------------------------------------------------------------------
@@ -774,7 +766,7 @@ def append(
         )
     if len(set(fresh_vars)) != len(fresh_vars):
         raise PreconditionViolated("fresh lifted variables must be pairwise distinct")
-    live = var_set(state.tree, a)
+    live = var_set(state.outputs, a)
     stale = set(fresh_vars) & live
     if stale:
         raise PreconditionViolated(f"lifted variables {sorted(stale)} already live on branch {a}")

@@ -22,11 +22,11 @@ from .circuit import (
     signature_to_json,
     check_signature,
 )
-from .errors import PqkError, PqkSyntaxError, TypeCheckError
+from .errors import PqkError
 from .fuzz import GenConfig, run_fuzz
 from .interp import DEFAULT_FUEL, Done, EvalEnv, FuelExhausted, Stuck, run_closed
 from .parser import parse_circuit_text, parse_mtype_text, parse_program
-from .simulator import QuantumState, branch_distribution, parse_init_spec, simulate
+from .simulator import QuantumState, branch_distribution, parse_init_spec
 from .syntax import (
     Term,
     format_lifted_type,
@@ -270,14 +270,15 @@ def main(argv: list[str] | None = None) -> int:
         # internal failure (--help keeps its 0)
         return EXIT_OK if exc.code in (0, None) else EXIT_USER
     try:
-        return args.func(args)
-    except (PqkSyntaxError, TypeCheckError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed standard output (`pqk ... | head`).  Point it at
+        # devnull so that the flush at exit does not fail a second time.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_USER
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USER
-    except PqkError as exc:
+    except (PqkError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USER
     except Exception as exc:  # pragma: no cover - defensive

@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import random
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .circuit import DEFAULT_GATES, GateSet, M_QUBIT, M_UNIT
 from .errors import TypeCheckError
@@ -48,11 +49,8 @@ from .syntax import (
     substitute,
 )
 from .trees import (
-    EMPTY_TREE,
     Lifted,
     LiftedNode,
-    LiftingTree,
-    TreeNode,
     all_vars,
     flatten_family,
     from_map,
@@ -121,7 +119,6 @@ class Finding:
 @dataclass
 class _GenOut:
     term: Term
-    tree: LiftingTree
     type: Lifted  # of PqkType
 
 
@@ -174,7 +171,7 @@ class Generator:
 
     def finish(self, res: dict[str, PqkType]) -> _GenOut:
         value, ty = self.pack(res)
-        return _GenOut(Return(value), EMPTY_TREE, leaf(ty))
+        return _GenOut(Return(value), leaf(ty))
 
     def pack(self, res: dict[str, PqkType]) -> tuple[Value, PqkType]:
         names = sorted(res)
@@ -228,67 +225,56 @@ class Generator:
         consumed: dict[str, PqkType] = {}
         if kind == "INIT":
             stmt: Term = Apply((), self.boxes["INIT"], Unit())
-            tree: LiftingTree = EMPTY_TREE
             ty: Lifted = leaf(QUBIT_TYPE)
         elif kind == "varcirc":
             cname = rng.choice(circ_vars)
             target = rng.choice(qubits)
             consumed = {cname: res[cname], target: QUBIT_TYPE}
             stmt = Apply((), Var(cname), Var(target))
-            tree = EMPTY_TREE
             ty = map_leaves(res[cname].out, embed_mtype)
         elif kind in ("HAD", "MEASD"):
             target = rng.choice(qubits)
             consumed = {target: QUBIT_TYPE}
             stmt = Apply((), self.boxes[kind], Var(target))
-            tree = EMPTY_TREE
             ty = leaf(QUBIT_TYPE if kind == "HAD" else UNIT_TYPE)
         elif kind == "ML":
             target = rng.choice(qubits)
             consumed = {target: QUBIT_TYPE}
             var = self.fresh_lifted()
             stmt = Apply((var,), self.boxes["ML"], Var(target))
-            tree = TreeNode(var, EMPTY_TREE, EMPTY_TREE)
             ty = LiftedNode(var, leaf(UNIT_TYPE), leaf(UNIT_TYPE))
         else:  # ONEWAY
             t1, t2 = rng.sample(qubits, 2)
             consumed = {t1: QUBIT_TYPE, t2: QUBIT_TYPE}
             var = self.fresh_lifted()
             stmt = Apply((var,), self.boxes["ONEWAY"], Pair(Var(t1), Var(t2)))
-            tree = TreeNode(var, EMPTY_TREE, EMPTY_TREE)
             ty = LiftedNode(var, leaf(QUBIT_TYPE), leaf(BIT_TYPE))
         rest = {n: t for n, t in res.items() if n not in consumed}
-        return self._wrap_let(stmt, tree, ty, rest, depth)
+        return self._wrap_let(stmt, ty, rest, depth)
 
     def gen_let_general(self, res: dict[str, PqkType], depth: int) -> _GenOut:
         left, right = self._split(res)
         bound = self.gen_term(left, depth - 1)
-        return self._wrap_let(bound.term, bound.tree, bound.type, right, depth)
+        return self._wrap_let(bound.term, bound.type, right, depth)
 
-    def _wrap_let(self, stmt: Term, tree: LiftingTree, ty: Lifted,
-                  rest: dict[str, PqkType], depth: int) -> _GenOut:
+    def _wrap_let(self, stmt: Term, ty: Lifted, rest: dict[str, PqkType], depth: int) -> _GenOut:
         x = self.fresh_var()
         branch_terms: dict = {}
-        branch_trees: dict = {}
         branch_types: dict = {}
         for p, x_ty in path_items(ty):
             sub_res = dict(rest)
             sub_res[x] = x_ty
             sub = self.gen_term(sub_res, depth - 1)
             branch_terms[p] = sub.term
-            branch_trees[p] = sub.tree
             branch_types[p] = sub.type
-        mu = from_map(tree, branch_terms)
-        out_tree = flatten_family(tree, branch_trees)
-        out_type = flatten_family(ty, branch_types)
-        return _GenOut(Let(x, stmt, mu), out_tree, out_type)
+        return _GenOut(Let(x, stmt, from_map(ty, branch_terms)), flatten_family(ty, branch_types))
 
     def gen_app(self, res: dict[str, PqkType], depth: int) -> _GenOut:
         left, right = self._split(res)
         arg, arg_ty = self.pack(left)
         x = self.fresh_var()
         body = self._gen_binder_body(x, arg_ty, right, depth)
-        return _GenOut(App(Lam(x, arg_ty, body.term), arg), body.tree, body.type)
+        return _GenOut(App(Lam(x, arg_ty, body.term), arg), body.type)
 
     def _gen_binder_body(self, x: str, ty: PqkType, rest: dict[str, PqkType], depth: int) -> _GenOut:
         """Body consuming x : ty plus rest; tensors are destructured first."""
@@ -298,7 +284,7 @@ class Generator:
             res[a] = ty.left
             res[b] = ty.right
             inner = self.gen_term(res, depth - 1)
-            return _GenOut(LetPair(a, b, Var(x), inner.term), inner.tree, inner.type)
+            return _GenOut(LetPair(a, b, Var(x), inner.term), inner.type)
         res = dict(rest)
         res[x] = ty
         return self.gen_term(res, depth - 1)
@@ -307,7 +293,7 @@ class Generator:
         if res:
             return self.finish(res)
         inner = self.gen_term({}, min(depth - 1, 2))
-        return _GenOut(Force(LiftV(inner.term)), inner.tree, inner.type)
+        return _GenOut(Force(LiftV(inner.term)), inner.type)
 
     def _callable_arrows(self, res: dict[str, PqkType]) -> list[str]:
         """Arrow-typed resources whose argument we can synthesize right now."""
@@ -336,7 +322,7 @@ class Generator:
         body = self.gen_term(body_res, max(depth - 2, 0))
         lam_ty = ArrowType(dom, body.type)
         stmt = Return(Lam(y, dom, body.term))
-        return self._wrap_let(stmt, EMPTY_TREE, leaf(lam_ty), rest, depth)
+        return self._wrap_let(stmt, leaf(lam_ty), rest, depth)
 
     def gen_call_stmt(self, res: dict[str, PqkType], depth: int) -> _GenOut:
         """Apply an arrow-typed resource variable to a synthesized argument."""
@@ -353,7 +339,7 @@ class Generator:
             arg = Var(target)
         stmt = App(Var(fname), arg)
         rest = {n: t for n, t in res.items() if n not in consumed}
-        return self._wrap_let(stmt, fty.cod.tree(), fty.cod, rest, depth)
+        return self._wrap_let(stmt, fty.cod, rest, depth)
 
     def gen_box_stmt(self, res: dict[str, PqkType], depth: int) -> _GenOut:
         y = self.fresh_var()
@@ -371,7 +357,7 @@ class Generator:
             fn = Lam(y, QUBIT_TYPE, inner)
             stmt = Box(M_QUBIT, LiftV(Return(fn)))
             ty = CircType(M_QUBIT, LiftedNode(w, leaf(M_UNIT), leaf(M_UNIT)))
-        return self._wrap_let(stmt, EMPTY_TREE, leaf(ty), dict(res), depth)
+        return self._wrap_let(stmt, leaf(ty), dict(res), depth)
 
 
 # ---------------------------------------------------------------------------
@@ -380,11 +366,7 @@ class Generator:
 
 def gen_well_typed(cfg: GenConfig) -> Term:
     """One closed, checker-accepted program; the post-check is asserted."""
-    rng = random.Random(cfg.seed)
-    gen = Generator(cfg, rng)
-    term = gen.gen_closed(cfg.max_depth)
-    check_closed_term(term, cfg.gateset)
-    return term
+    return gen_corpus(cfg, 1)[0]
 
 
 def gen_corpus(cfg: GenConfig, count: int) -> list[Term]:
@@ -424,21 +406,8 @@ def _sr_verdict(term: Term, expected, outcome, gateset, env_factory, shrink: boo
     if report.ok:
         return None
     if shrink:
-        term = shrink_finding(term, lambda t: _sr_violated(t, gateset, env_factory))
+        term = shrink_finding(term, _violated(lambda t: check_sr(t, gateset, env_factory, shrink=False)))
     return Finding(format_term(term), "subject-reduction", "; ".join(report.failures))
-
-
-def _sr_violated(term: Term, gateset, env_factory) -> bool:
-    try:
-        expected = check_closed_term(term, gateset)
-    except TypeCheckError:
-        return False
-    env = env_factory() if env_factory else EvalEnv(gateset=gateset)
-    outcome = run_closed(term, env)
-    if not isinstance(outcome, Done):
-        return False
-    return not typecheck_closed_right_config(outcome.config.circuit, outcome.config.value,
-                                             expected, gateset).ok
 
 
 def check_progress(term: Term, fuel: int = 10**6, gateset: GateSet = DEFAULT_GATES) -> Finding | None:
@@ -447,22 +416,30 @@ def check_progress(term: Term, fuel: int = 10**6, gateset: GateSet = DEFAULT_GAT
     return _progress_verdict(term, run_closed(term, EvalEnv(fuel=fuel, gateset=gateset)), fuel, gateset)
 
 
-def _progress_verdict(term: Term, outcome, fuel: int, gateset) -> Finding | None:
+def _progress_verdict(term: Term, outcome, fuel: int, gateset, shrink: bool = True) -> Finding | None:
     """check_progress's verdict on the outcome of the well-typed term."""
     if not isinstance(outcome, Stuck):
         return None
-    term = shrink_finding(term, lambda t: _progress_violated(t, fuel, gateset))
-    outcome2 = run_closed(term, EvalEnv(fuel=fuel, gateset=gateset))
-    reason = outcome2.reason if isinstance(outcome2, Stuck) else outcome.reason
-    return Finding(format_term(term), "progress", f"stuck: {reason}")
+    if shrink:
+        def verdict(t: Term) -> Finding | None:
+            check_closed_term(t, gateset)
+            return _progress_verdict(t, run_closed(t, EvalEnv(fuel=fuel, gateset=gateset)), fuel, gateset, False)
+
+        return verdict(shrink_finding(term, _violated(verdict)))  # evaluation is deterministic
+    return Finding(format_term(term), "progress", f"stuck: {outcome.reason}")
 
 
-def _progress_violated(term: Term, fuel: int, gateset) -> bool:
-    try:
-        check_closed_term(term, gateset)
-    except TypeCheckError:
-        return False
-    return isinstance(run_closed(term, EvalEnv(fuel=fuel, gateset=gateset)), Stuck)
+def _violated(verdict) -> Callable[[Term], bool]:
+    """Shrink predicate from a verdict run with shrinking off: a candidate the
+    checker rejects is not a violation."""
+
+    def still_fails(t: Term) -> bool:
+        try:
+            return verdict(t) is not None
+        except TypeCheckError:
+            return False
+
+    return still_fails
 
 
 # ---------------------------------------------------------------------------

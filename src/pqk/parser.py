@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import Any, Callable
 
 from . import circuit as crl
 from . import trees
@@ -64,11 +65,9 @@ from .syntax import (
 from .trees import (
     Assignment,
     EMPTY_ASSIGNMENT,
-    EMPTY_TREE,
     Lifted,
     LiftedNode,
     LiftingTree,
-    TreeNode,
     leaf,
 )
 
@@ -369,9 +368,9 @@ class _Parser:
         if self.accept("-o"):
             annotated: LiftingTree | None = None
             if self.accept("["):
-                annotated = self.parse_tree()
+                annotated = self.parse_lifted(self.parse_hole)
                 self.expect("]")
-            cod = self.parse_lifted_type()
+            cod = self.parse_lifted(self.parse_type)
             if annotated is not None and cod.tree() != annotated:
                 self.fail("arrow annotation tree does not match the codomain's shape")
             return ArrowType(left, cod)
@@ -393,16 +392,16 @@ class _Parser:
             return WireT(crl.QUBIT)
         if self.accept("!"):
             if self.at("<"):
-                return BangType(self.parse_lifted_type())
+                return BangType(self.parse_lifted(self.parse_type))
             return BangType(leaf(self.parse_type_atom()))
         if self.accept("Circ"):
             self.expect("[")
-            tree = self.parse_tree()
+            tree = self.parse_lifted(self.parse_hole)
             self.expect("]")
             self.expect("(")
             in_type = self.parse_mtype()
             self.expect(",")
-            out = self.parse_lifted_mtype()
+            out = self.parse_lifted(self.parse_mtype)
             self.expect(")")
             if out.tree() != tree:
                 self.fail("Circ annotation tree does not match the output shape")
@@ -413,29 +412,21 @@ class _Parser:
             return inner
         self.fail(f"expected a type, found {tok.text!r}")
 
-    def parse_lifted_type(self) -> Lifted:
-        if self.at("<"):
-            self.expect("<")
-            var = self.expect_ident("lifted variable").text
-            self.expect("?")
-            zero = self.parse_lifted_type()
-            self.expect("|")
-            one = self.parse_lifted_type()
-            self.expect(">")
-            return LiftedNode(var, zero, one)
-        return leaf(self.parse_type())
-
-    def parse_tree(self) -> LiftingTree:
-        if self.accept("_"):
-            return EMPTY_TREE
-        self.expect("<")
+    def parse_lifted(self, parse_leaf: Callable[[], Any]) -> Lifted:
+        """A lifted object ``<u ? a | b>`` whose leaves parse_leaf reads."""
+        if not self.accept("<"):
+            return leaf(parse_leaf())
         var = self.expect_ident("lifted variable").text
         self.expect("?")
-        zero = self.parse_tree()
+        zero = self.parse_lifted(parse_leaf)
         self.expect("|")
-        one = self.parse_tree()
+        one = self.parse_lifted(parse_leaf)
         self.expect(">")
-        return TreeNode(var, zero, one)
+        return LiftedNode(var, zero, one)
+
+    def parse_hole(self) -> None:
+        """A lifting tree's leaf, written ``_``."""
+        self.expect("_")
 
     def parse_mtype(self) -> MType:
         left = self.parse_mtype_atom()
@@ -456,18 +447,6 @@ class _Parser:
             self.expect(")")
             return inner
         self.fail(f"expected an M-type, found {tok.text!r}")
-
-    def parse_lifted_mtype(self) -> Lifted:
-        if self.at("<"):
-            self.expect("<")
-            var = self.expect_ident("lifted variable").text
-            self.expect("?")
-            zero = self.parse_lifted_mtype()
-            self.expect("|")
-            one = self.parse_lifted_mtype()
-            self.expect(">")
-            return LiftedNode(var, zero, one)
-        return leaf(self.parse_mtype())
 
     # -- CRL circuits
 
@@ -610,29 +589,24 @@ def parse_value(src: str, gateset: GateSet = DEFAULT_GATES) -> Value:
     return parsed
 
 
-def parse_circuit_text(src: str, gateset: GateSet = DEFAULT_GATES) -> Circuit:
-    """Standalone textual CRL circuit: input header then instructions."""
+def _parse_whole(src: str, gateset: GateSet, parse: Callable[[_Parser], Any]) -> Any:
+    """parse all of src: what parse reads, followed by the end of input."""
     p = _Parser(src, gateset)
-    circuit = p.parse_circuit_body(stop=None)
+    out = parse(p)
     tok = p.peek()
     if tok.kind != "eof":
         raise PqkSyntaxError(f"trailing input {tok.text!r}", tok.line, tok.col)
-    return circuit
+    return out
+
+
+def parse_circuit_text(src: str, gateset: GateSet = DEFAULT_GATES) -> Circuit:
+    """Standalone textual CRL circuit: input header then instructions."""
+    return _parse_whole(src, gateset, lambda p: p.parse_circuit_body(stop=None))
 
 
 def parse_type_text(src: str, gateset: GateSet = DEFAULT_GATES) -> PqkType:
-    p = _Parser(src, gateset)
-    t = p.parse_type()
-    tok = p.peek()
-    if tok.kind != "eof":
-        raise PqkSyntaxError(f"trailing input {tok.text!r}", tok.line, tok.col)
-    return t
+    return _parse_whole(src, gateset, _Parser.parse_type)
 
 
 def parse_mtype_text(src: str) -> MType:
-    p = _Parser(src, DEFAULT_GATES)
-    t = p.parse_mtype()
-    tok = p.peek()
-    if tok.kind != "eof":
-        raise PqkSyntaxError(f"trailing input {tok.text!r}", tok.line, tok.col)
-    return t
+    return _parse_whole(src, DEFAULT_GATES, _Parser.parse_mtype)

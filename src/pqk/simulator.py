@@ -277,7 +277,7 @@ def branch_distribution(
     over the paths with their exact Born probabilities.
     """
     sig = check_signature(c, gateset)
-    counts: dict[Assignment, int] = {p: 0 for p in path_set(sig.tree)}
+    counts: dict[Assignment, int] = {p: 0 for p in path_set(sig.outputs)}
     for trace in _walk(c, sig, init, shots, seed, max_qubits):
         counts[trace.path] += trace.shots
     return counts

@@ -505,9 +505,9 @@ def _lifted_equal(a: Lifted, b: Lifted, leaf_eq) -> bool:
     return False
 
 
-def _canonical_tree(t: LiftingTree) -> LiftingTree:
-    pi = Renaming({v: f"~c{i}" for i, v in enumerate(preorder_vars(t))})
-    return rename_lifted(t, pi)
+def _canonical_lifted(obj: Lifted) -> Lifted:
+    """obj with its variables renamed ~c0, ~c1, ... in pre-order of first occurrence."""
+    return rename_lifted(obj, Renaming({v: f"~c{i}" for i, v in enumerate(preorder_vars(obj))}))
 
 
 def types_equal(a: PqkType, b: PqkType) -> bool:
@@ -519,14 +519,7 @@ def types_equal(a: PqkType, b: PqkType) -> bool:
     if isinstance(a, BangType) and isinstance(b, BangType):
         return _lifted_equal(a.inner, b.inner, types_equal)
     if isinstance(a, CircType) and isinstance(b, CircType):
-        if a.in_type != b.in_type:
-            return False
-        ca, cb = _canonical_tree(a.tree), _canonical_tree(b.tree)
-        if ca != cb:
-            return False
-        pa = Renaming(dict(zip(preorder_vars(a.out), preorder_vars(ca))))
-        pb = Renaming(dict(zip(preorder_vars(b.out), preorder_vars(cb))))
-        return rename_lifted(a.out, pa) == rename_lifted(b.out, pb)
+        return a.in_type == b.in_type and _canonical_lifted(a.out) == _canonical_lifted(b.out)
     if isinstance(a, TensorType) and isinstance(b, TensorType):
         return types_equal(a.left, b.left) and types_equal(a.right, b.right)
     return False

@@ -266,16 +266,25 @@ def path_set(t: Lifted) -> list[Assignment]:
 
 
 def is_consistent(t: Lifted, a: Assignment) -> bool:
-    """a belongs to A_t, i.e. a is a restriction of some root-to-leaf path."""
-    if not a:
-        return True
-    if isinstance(t, LiftedLeaf):
-        return False
-    assert isinstance(t, LiftedNode)
-    bit = a.get(t.var)
-    if bit is not None:
-        return is_consistent(t.zero if bit == 0 else t.one, a.without(t.var))
-    return is_consistent(t.zero, a) or is_consistent(t.one, a)
+    """a belongs to A_t, i.e. a is a restriction of some root-to-leaf path.
+
+    One descent, pruned as in `update_under`: at a node that a binds it
+    follows a's bit, elsewhere it tries both children, and it gives up on a
+    subtree that lacks a still-unbound variable of a.
+    """
+    bits = dict(a.bindings)
+
+    def walk(t: Lifted, unbound: frozenset[str]) -> bool:
+        if not unbound:
+            return True
+        if not unbound <= all_vars(t):
+            return False
+        bit = bits.get(t.var)
+        if bit is None:
+            return walk(t.zero, unbound) or walk(t.one, unbound)
+        return walk(t.one if bit else t.zero, unbound - {t.var})
+
+    return walk(t, frozenset(bits))
 
 
 def update_under(obj: Lifted, cond: Assignment, fn: Callable[[Assignment, Any], Lifted]) -> Lifted:

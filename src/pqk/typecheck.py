@@ -86,7 +86,6 @@ from .trees import (
     from_map,
     leaf,
     lookup,
-    map_leaves,
     path_items,
     path_set,
     rename_lifted,
@@ -244,7 +243,7 @@ class Checker:
             except CircuitError as exc:
                 raise TypeCheckError(KIND_TYPE_MISMATCH, f"boxed outputs: {exc}",
                                      rule="circ", branch=p, span=span) from exc
-        theta = from_map(sig.tree, out_types)
+        theta = from_map(sig.outputs, out_types)
         return CircType(in_type, theta)
 
     # -- terms
@@ -275,7 +274,6 @@ class Checker:
                     f"lifting tree {bound.tree}",
                     rule="let", span=m.span,
                 )
-            branch_trees: dict[Assignment, LiftingTree] = {}
             branch_types: dict[Assignment, Lifted] = {}
             residue: TypingContext | None = None
             for p, x_type in path_items(bound.type):
@@ -284,7 +282,6 @@ class Checker:
                 result, leftover = self.check_term(inner, lookup(m.branches, p))
                 leftover = self._release_binder(leftover, m.var, x_type, shadowed,
                                                 rule="let", span=m.span, branch=p)
-                branch_trees[p] = result.tree
                 branch_types[p] = result.type
                 if residue is None:
                     residue = leftover
@@ -296,11 +293,10 @@ class Checker:
                     )
             assert residue is not None
             try:
-                out_tree = flatten_family(bound.tree, branch_trees)
                 out_type = flatten_family(bound.type, branch_types)
             except VariableClash as exc:
                 raise TypeCheckError(KIND_FLATTEN_CLASH, str(exc), rule="let", span=m.span) from exc
-            return ComputationTyping(out_tree, out_type), residue
+            return ComputationTyping(out_type.tree(), out_type), residue
         if isinstance(m, LetPair):
             pair_ty, ctx1 = self.check_value(ctx, m.value)
             if not isinstance(pair_ty, TensorType):
@@ -379,10 +375,8 @@ class Checker:
                     f"apply target has type {arg_ty}, circuit expects {expected}",
                     rule="apply", span=m.span,
                 )
-            pi = Renaming(dict(zip(binders, m.vars)))
-            out_tree = rename_lifted(circ_ty.tree, pi)
-            out_type = rename_lifted(map_leaves(circ_ty.out, embed_mtype), pi)
-            return ComputationTyping(out_tree, out_type), ctx2
+            out_type = rename_lifted(circ_ty.out, Renaming(dict(zip(binders, m.vars))), embed_mtype)
+            return ComputationTyping(out_type.tree(), out_type), ctx2
         raise TypeCheckError(KIND_TYPE_MISMATCH, f"not a term: {m!r}", rule="?")
 
     # -- helpers

@@ -1,10 +1,14 @@
 from __future__ import annotations
 
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import pqk
 from pqk.cli import main
 from pqk.circuit import circuit_from_json
 from pqk.parser import parse_circuit_text, parse_type_text
@@ -202,3 +206,27 @@ class TestUsageErrors:
         out = capsys.readouterr().out
         assert code == 0
         assert "check" in out and "fuzz" in out
+
+
+class TestClosedPipe:
+    @pytest.mark.parametrize("unbuffered", [True, False])
+    def test_reader_closing_stdout_is_not_an_internal_error(self, unbuffered):
+        """`pqk sim ... | head -1` where the reader is gone before the first
+        write: unbuffered, print raises; buffered, the flush at the end does."""
+        env = dict(os.environ, PYTHONPATH=str(pathlib.Path(pqk.__file__).resolve().parent.parent))
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "pqk.cli", "sim", str(PROGRAMS / "six_lifts.pqk"),
+                 "--shots", "1000", "--seed", "1"],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode != 2
+        assert "internal error" not in proc.stderr.decode()
+        assert "Exception ignored" not in proc.stderr.decode()

@@ -29,6 +29,7 @@ from pqk.trees import (
     flatten,
     flatten_family,
     graft,
+    is_consistent,
     leaf,
     lookup,
     node,
@@ -124,6 +125,27 @@ class TestUpdateUnder:
 
 # ---------------------------------------------------------------------------
 # flatten_family and graft against their compose-based definitions
+
+
+class TestIsConsistent:
+    def test_matches_path_set_oracle(self):
+        rng = random.Random(17)
+        verdicts = Counter()
+        for _ in range(3000):
+            t = random_tree(rng, POOL, 4)
+            if rng.random() < 0.5:
+                # a restriction of a path, with one bit flipped now and then
+                bindings = [b for b in rng.choice(path_set(t)).bindings if rng.random() < 0.7]
+                if bindings and rng.random() < 0.3:
+                    i = rng.randrange(len(bindings))
+                    bindings[i] = (bindings[i][0], 1 - bindings[i][1])
+                cond = Assignment.of(bindings)
+            else:
+                cond = random_cond(rng)
+            want = any(p.extends(cond) for p in path_set(t))
+            assert is_consistent(t, cond) == want, (t, cond)
+            verdicts[want] += 1
+        assert min(verdicts[True], verdicts[False]) > 500
 
 
 def old_flatten_family(obj, family):
