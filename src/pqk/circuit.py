@@ -3,12 +3,13 @@
 A circuit is an input header followed by conditional gate applications and
 conditional lift instructions.  Signature checking assigns every valid
 circuit a lifting tree together with branch-indexed output label contexts.
+Gates are typed by M-types and applied to label tuples, which are the term
+language's first-order types and values (see `syntax`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Any, Iterable, Mapping
 
 from . import trees
@@ -24,6 +25,22 @@ from .errors import (
     UnboundLabel,
     UnknownGate,
     WrongWireType,
+)
+from .syntax import (
+    BIT,
+    BIT_TYPE,
+    QUBIT,
+    QUBIT_TYPE,
+    UNIT_TYPE,
+    LabelVal,
+    Pair,
+    PqkType,
+    TensorType,
+    Unit,
+    UnitType,
+    Value,
+    WireT,
+    WireType,
 )
 from .trees import (
     Assignment,
@@ -42,124 +59,41 @@ from .trees import (
     var_sort_key,
 )
 
-
-class WireType(Enum):
-    BIT = "Bit"
-    QUBIT = "Qubit"
-
-    def __str__(self) -> str:
-        return self.value
-
-
-BIT = WireType.BIT
-QUBIT = WireType.QUBIT
-
-
 # ---------------------------------------------------------------------------
-# M-types and M-values
+# Label tuples
+
+# Old names of the M-types and label tuples, which are the term language's
+# first-order types and values.
+MUnit = UnitType
+MWire = WireT
+MTensor = TensorType
+MUnitVal = Unit
+MLabel = LabelVal
+MPair = Pair
+M_UNIT = UNIT_TYPE
+M_BIT = BIT_TYPE
+M_QUBIT = QUBIT_TYPE
+M_STAR = Unit()
 
 
-class MType:
-    __slots__ = ()
-
-
-@dataclass(frozen=True)
-class MUnit(MType):
-    __slots__ = ()
-
-    def __str__(self) -> str:
-        return "Unit"
-
-    __repr__ = __str__
-
-
-@dataclass(frozen=True)
-class MWire(MType):
-    wire: WireType
-
-    def __str__(self) -> str:
-        return str(self.wire)
-
-    __repr__ = __str__
-
-
-@dataclass(frozen=True)
-class MTensor(MType):
-    left: MType
-    right: MType
-
-    def __str__(self) -> str:
-        def atom(t: MType) -> str:
-            return f"({t})" if isinstance(t, MTensor) else str(t)
-
-        return f"{atom(self.left)} * {self.right}"
-
-    __repr__ = __str__
-
-
-M_UNIT = MUnit()
-M_BIT = MWire(BIT)
-M_QUBIT = MWire(QUBIT)
-
-
-class MValue:
-    __slots__ = ()
-
-    def labels(self) -> list[str]:
-        return mvalue_labels(self)
-
-
-@dataclass(frozen=True)
-class MUnitVal(MValue):
-    __slots__ = ()
-
-    def __str__(self) -> str:
-        return "*"
-
-    __repr__ = __str__
-
-
-@dataclass(frozen=True)
-class MLabel(MValue):
-    name: str
-
-    def __str__(self) -> str:
-        return self.name
-
-    __repr__ = __str__
-
-
-@dataclass(frozen=True)
-class MPair(MValue):
-    left: MValue
-    right: MValue
-
-    def __str__(self) -> str:
-        return f"({self.left}, {self.right})"
-
-    __repr__ = __str__
-
-
-M_STAR = MUnitVal()
-
-
-def mvalue_labels(v: MValue) -> list[str]:
-    if isinstance(v, MUnitVal):
+def mvalue_labels(v: Value) -> list[str]:
+    """The labels of a label tuple, left to right."""
+    if isinstance(v, Unit):
         return []
-    if isinstance(v, MLabel):
+    if isinstance(v, LabelVal):
         return [v.name]
-    assert isinstance(v, MPair)
+    assert isinstance(v, Pair)
     return mvalue_labels(v.left) + mvalue_labels(v.right)
 
 
-def mtuple(labels: Iterable[str]) -> MValue:
+def mtuple(labels: Iterable[str]) -> Value:
     """Right-nested tuple of labels; * when empty, bare label when singleton."""
     names = list(labels)
     if not names:
-        return M_STAR
+        return Unit()
     if len(names) == 1:
-        return MLabel(names[0])
-    return MPair(MLabel(names[0]), mtuple(names[1:]))
+        return LabelVal(names[0])
+    return Pair(LabelVal(names[0]), mtuple(names[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -230,8 +164,8 @@ class LabelContext:
 EMPTY_CONTEXT = LabelContext()
 
 
-def type_mvalue(q: LabelContext, v: MValue) -> MType:
-    """Type an M-value against a label context, consuming it exactly."""
+def type_mvalue(q: LabelContext, v: Value) -> PqkType:
+    """Type a label tuple against a label context, consuming it exactly."""
     names = mvalue_labels(v)
     dup = {n for n in names if names.count(n) > 1}
     if dup:
@@ -245,28 +179,28 @@ def type_mvalue(q: LabelContext, v: MValue) -> MType:
     return _mvalue_type(q, v)
 
 
-def _mvalue_type(q: LabelContext, v: MValue) -> MType:
-    if isinstance(v, MUnitVal):
-        return M_UNIT
-    if isinstance(v, MLabel):
+def _mvalue_type(q: LabelContext, v: Value) -> PqkType:
+    if isinstance(v, Unit):
+        return UNIT_TYPE
+    if isinstance(v, LabelVal):
         w = q.get(v.name)
         assert w is not None
-        return MWire(w)
-    assert isinstance(v, MPair)
-    return MTensor(_mvalue_type(q, v.left), _mvalue_type(q, v.right))
+        return WireT(w)
+    assert isinstance(v, Pair)
+    return TensorType(_mvalue_type(q, v.left), _mvalue_type(q, v.right))
 
 
-def context_of_mvalue(v: MValue, t: MType) -> LabelContext:
+def context_of_mvalue(v: Value, t: PqkType) -> LabelContext:
     """Label context making v have type t; shape mismatch raises GateArityMismatch."""
     out: list[tuple[str, WireType]] = []
 
-    def walk(v: MValue, t: MType):
-        if isinstance(v, MUnitVal) and isinstance(t, MUnit):
+    def walk(v: Value, t: PqkType):
+        if isinstance(v, Unit) and isinstance(t, UnitType):
             return
-        if isinstance(v, MLabel) and isinstance(t, MWire):
+        if isinstance(v, LabelVal) and isinstance(t, WireT):
             out.append((v.name, t.wire))
             return
-        if isinstance(v, MPair) and isinstance(t, MTensor):
+        if isinstance(v, Pair) and isinstance(t, TensorType):
             walk(v.left, t.left)
             walk(v.right, t.right)
             return
@@ -283,8 +217,8 @@ def context_of_mvalue(v: MValue, t: MType) -> LabelContext:
 @dataclass(frozen=True)
 class Gate:
     name: str
-    in_type: MType
-    out_type: MType
+    in_type: PqkType  # an M-type
+    out_type: PqkType  # an M-type
 
 
 class GateSet:
@@ -304,20 +238,20 @@ class GateSet:
         return sorted(self._by_name)
 
 
-_Q2 = MTensor(M_QUBIT, M_QUBIT)
-_B2 = MTensor(M_BIT, M_BIT)
+_Q2 = TensorType(QUBIT_TYPE, QUBIT_TYPE)
+_B2 = TensorType(BIT_TYPE, BIT_TYPE)
 
 DEFAULT_GATES = GateSet([
-    Gate("H", M_QUBIT, M_QUBIT),
-    Gate("X", M_QUBIT, M_QUBIT),
-    Gate("Z", M_QUBIT, M_QUBIT),
+    Gate("H", QUBIT_TYPE, QUBIT_TYPE),
+    Gate("X", QUBIT_TYPE, QUBIT_TYPE),
+    Gate("Z", QUBIT_TYPE, QUBIT_TYPE),
     Gate("CNOT", _Q2, _Q2),
-    Gate("Meas", M_QUBIT, M_BIT),
+    Gate("Meas", QUBIT_TYPE, BIT_TYPE),
     Gate("Meas2", _Q2, _B2),
     # convenience extensions beyond the core set
-    Gate("Init0", M_UNIT, M_QUBIT),
-    Gate("Init1", M_UNIT, M_QUBIT),
-    Gate("Discard", M_BIT, M_UNIT),
+    Gate("Init0", UNIT_TYPE, QUBIT_TYPE),
+    Gate("Init1", UNIT_TYPE, QUBIT_TYPE),
+    Gate("Discard", BIT_TYPE, UNIT_TYPE),
 ])
 
 
@@ -329,8 +263,8 @@ DEFAULT_GATES = GateSet([
 class GateApp:
     cond: Assignment
     gate: str
-    inputs: MValue
-    outputs: MValue
+    inputs: Value  # a label tuple
+    outputs: Value  # a label tuple
 
     def __str__(self) -> str:
         prefix = f"{self.cond} ? " if self.cond else ""
@@ -355,8 +289,8 @@ class LiftInstr:
 Instruction = GateApp | LiftInstr
 
 
-def _args(v: MValue) -> str:
-    if isinstance(v, MPair):
+def _args(v: Value) -> str:
+    if isinstance(v, Pair):
         return str(v)
     return f"({v})"
 
@@ -510,13 +444,13 @@ def check_signature(c: Circuit, gateset: GateSet = DEFAULT_GATES) -> CircuitSign
 # Renamings
 
 
-def rename_mvalue(v: MValue, rho: Renaming) -> MValue:
-    if isinstance(v, MUnitVal):
+def rename_mvalue(v: Value, rho: Renaming) -> Value:
+    if isinstance(v, Unit):
         return v
-    if isinstance(v, MLabel):
-        return MLabel(rho(v.name))
-    assert isinstance(v, MPair)
-    return MPair(rename_mvalue(v.left, rho), rename_mvalue(v.right, rho))
+    if isinstance(v, LabelVal):
+        return LabelVal(rho(v.name))
+    assert isinstance(v, Pair)
+    return Pair(rename_mvalue(v.left, rho), rename_mvalue(v.right, rho))
 
 
 def rename_labels_circuit(c: Circuit, rho: Renaming) -> Circuit:
@@ -559,9 +493,9 @@ class BoxedCircuit:
     are compared up to their renaming (and label renaming, via boxed_equiv).
     """
 
-    in_tuple: MValue
+    in_tuple: Value  # a label tuple
     circuit: Circuit
-    out_tuples: Lifted  # of MValue
+    out_tuples: Lifted  # of label tuples
 
     @property
     def tree(self) -> LiftingTree:
@@ -687,32 +621,32 @@ class FreshLabels:
         return cls(top)
 
 
-def fresh_labels_for(t: MType, source: FreshLabels) -> tuple[LabelContext, MValue]:
-    """(Q, tuple) with Q |= tuple : t, labels drawn from source."""
-    if isinstance(t, MUnit):
-        return EMPTY_CONTEXT, M_STAR
-    if isinstance(t, MWire):
+def fresh_labels_for(t: PqkType, source: FreshLabels) -> tuple[LabelContext, Value]:
+    """(Q, tuple) with Q |= tuple : t for an M-type t, labels drawn from source."""
+    if isinstance(t, UnitType):
+        return EMPTY_CONTEXT, Unit()
+    if isinstance(t, WireT):
         name = source.fresh()
-        return LabelContext.of({name: t.wire}), MLabel(name)
-    assert isinstance(t, MTensor)
+        return LabelContext.of({name: t.wire}), LabelVal(name)
+    assert isinstance(t, TensorType)
     q1, v1 = fresh_labels_for(t.left, source)
     q2, v2 = fresh_labels_for(t.right, source)
-    return q1.merge(q2), MPair(v1, v2)
+    return q1.merge(q2), Pair(v1, v2)
 
 
-def match_tuples(pattern: MValue, target: MValue) -> dict[str, str]:
+def match_tuples(pattern: Value, target: Value) -> dict[str, str]:
     """Label mapping sending pattern onto target; shapes must agree."""
     out: dict[str, str] = {}
 
-    def walk(p: MValue, t: MValue):
-        if isinstance(p, MUnitVal) and isinstance(t, MUnitVal):
+    def walk(p: Value, t: Value):
+        if isinstance(p, Unit) and isinstance(t, Unit):
             return
-        if isinstance(p, MLabel) and isinstance(t, MLabel):
+        if isinstance(p, LabelVal) and isinstance(t, LabelVal):
             if p.name in out and out[p.name] != t.name:
                 raise PreconditionViolated(f"label {p.name} maps two ways")
             out[p.name] = t.name
             return
-        if isinstance(p, MPair) and isinstance(t, MPair):
+        if isinstance(p, Pair) and isinstance(t, Pair):
             walk(p.left, t.left)
             walk(p.right, t.right)
             return
@@ -725,7 +659,7 @@ def match_tuples(pattern: MValue, target: MValue) -> dict[str, str]:
 def append(
     c: Circuit,
     a: Assignment,
-    target: MValue,
+    target: Value,
     boxed: BoxedCircuit,
     fresh_vars: list[str],
     gateset: GateSet = DEFAULT_GATES,
@@ -806,40 +740,22 @@ def append(
 # JSON and DOT export
 
 
-def mvalue_to_json(v: MValue) -> Any:
-    if isinstance(v, MUnitVal):
+def mvalue_to_json(v: Value) -> Any:
+    if isinstance(v, Unit):
         return None
-    if isinstance(v, MLabel):
+    if isinstance(v, LabelVal):
         return v.name
-    assert isinstance(v, MPair)
+    assert isinstance(v, Pair)
     return [mvalue_to_json(v.left), mvalue_to_json(v.right)]
 
 
-def mvalue_from_json(data: Any) -> MValue:
+def mvalue_from_json(data: Any) -> Value:
     if data is None:
-        return M_STAR
+        return Unit()
     if isinstance(data, str):
-        return MLabel(data)
+        return LabelVal(data)
     left, right = data
-    return MPair(mvalue_from_json(left), mvalue_from_json(right))
-
-
-def mtype_to_json(t: MType) -> Any:
-    if isinstance(t, MUnit):
-        return "Unit"
-    if isinstance(t, MWire):
-        return str(t.wire)
-    assert isinstance(t, MTensor)
-    return [mtype_to_json(t.left), mtype_to_json(t.right)]
-
-
-def mtype_from_json(data: Any) -> MType:
-    if data == "Unit":
-        return M_UNIT
-    if data in ("Bit", "Qubit"):
-        return MWire(WireType(data))
-    left, right = data
-    return MTensor(mtype_from_json(left), mtype_from_json(right))
+    return Pair(mvalue_from_json(left), mvalue_from_json(right))
 
 
 def context_to_json(q: LabelContext) -> Any:

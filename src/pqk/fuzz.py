@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .circuit import DEFAULT_GATES, GateSet, M_QUBIT, M_UNIT
+from .circuit import DEFAULT_GATES, GateSet
 from .errors import TypeCheckError
 from .interp import Done, EvalEnv, FuelExhausted, Stuck, run_closed
 from .parser import boxed_from_circuit, parse_circuit_text
@@ -43,7 +43,6 @@ from .syntax import (
     Value,
     Var,
     children,
-    embed_mtype,
     format_term,
     is_parameter,
     substitute,
@@ -56,8 +55,8 @@ from .trees import (
     from_map,
     leaf,
     leaves,
-    map_leaves,
     path_items,
+    update_under,
 )
 from .typecheck import (
     Checker,
@@ -212,7 +211,7 @@ class Generator:
         qubits = self._qubit_vars(res)
         circ_vars = sorted(
             n for n, t in res.items()
-            if isinstance(t, CircType) and t.in_type == M_QUBIT and not all_vars(t.out)
+            if isinstance(t, CircType) and t.in_type == QUBIT_TYPE and not all_vars(t.out)
         )
         options = ["INIT"]
         if qubits:
@@ -231,7 +230,7 @@ class Generator:
             target = rng.choice(qubits)
             consumed = {cname: res[cname], target: QUBIT_TYPE}
             stmt = Apply((), Var(cname), Var(target))
-            ty = map_leaves(res[cname].out, embed_mtype)
+            ty = res[cname].out
         elif kind in ("HAD", "MEASD"):
             target = rng.choice(qubits)
             consumed = {target: QUBIT_TYPE}
@@ -345,8 +344,8 @@ class Generator:
         y = self.fresh_var()
         if self.rng.random() < 0.5:
             fn = Lam(y, QUBIT_TYPE, Apply((), self.boxes["HAD"], Var(y)))
-            stmt: Term = Box(M_QUBIT, LiftV(Return(fn)))
-            ty: PqkType = CircType(M_QUBIT, leaf(M_QUBIT))
+            stmt: Term = Box(QUBIT_TYPE, LiftV(Return(fn)))
+            ty: PqkType = CircType(QUBIT_TYPE, leaf(QUBIT_TYPE))
         else:
             w = self.fresh_lifted()
             inner = Let(
@@ -355,8 +354,8 @@ class Generator:
                 LiftedNode(w, leaf(Return(Unit())), leaf(Return(Unit()))),
             )
             fn = Lam(y, QUBIT_TYPE, inner)
-            stmt = Box(M_QUBIT, LiftV(Return(fn)))
-            ty = CircType(M_QUBIT, LiftedNode(w, leaf(M_UNIT), leaf(M_UNIT)))
+            stmt = Box(QUBIT_TYPE, LiftV(Return(fn)))
+            ty = CircType(QUBIT_TYPE, LiftedNode(w, leaf(UNIT_TYPE), leaf(UNIT_TYPE)))
         return self._wrap_let(stmt, leaf(ty), dict(res), depth)
 
 
@@ -447,11 +446,21 @@ def _violated(verdict) -> Callable[[Term], bool]:
 
 
 def shrink_candidates(term: Term):
-    """Structural reductions tried by the shrinker (candidates may be ill-typed)."""
+    """Structural reductions tried by the shrinker (candidates may be ill-typed).
+
+    A let's branches have its variable free, so besides the bound term and the
+    branches themselves the let is also offered with its bound term, or one
+    branch, replaced by each of that subterm's own candidates.
+    """
     if isinstance(term, Let):
         yield term.bound
-        for m in leaves(term.branches):
-            yield m
+        yield from leaves(term.branches)
+        for cand in shrink_candidates(term.bound):
+            yield Let(term.var, cand, term.branches, term.span)
+        for p, m in path_items(term.branches):
+            for cand in shrink_candidates(m):
+                branches = update_under(term.branches, p, lambda _p, _m: leaf(cand))
+                yield Let(term.var, term.bound, branches, term.span)
     if isinstance(term, App) and isinstance(term.fn, Lam):
         yield substitute(term.fn.body, term.arg, term.fn.var)
     if isinstance(term, Force) and isinstance(term.value, LiftV):

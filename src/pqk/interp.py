@@ -17,8 +17,6 @@ from .circuit import (
     FreshLabels,
     GateSet,
     LabelContext,
-    MType,
-    MValue,
     append,
     fresh_labels_for,
 )
@@ -34,9 +32,12 @@ from .syntax import (
     LetPair,
     LiftV,
     Pair,
+    PqkType,
     Return,
     Term,
+    Value,
     Var,
+    is_label_tuple,
     substitute,
 )
 from .trees import (
@@ -44,13 +45,11 @@ from .trees import (
     EMPTY_ASSIGNMENT,
     Lifted,
     flatten_family,
-    from_map,
     leaf,
+    leaves,
     lookup,
-    map_leaves,
     path_items,
 )
-from .typecheck import mvalue_to_value, value_to_mvalue
 
 DEFAULT_FUEL = 10**6
 
@@ -100,7 +99,7 @@ class EvalEnv:
     findings: list[str] = field(default_factory=list)
 
 
-def freshlabels(env: EvalEnv, t: MType) -> tuple[LabelContext, MValue]:
+def freshlabels(env: EvalEnv, t: PqkType) -> tuple[LabelContext, Value]:
     """(Q, tuple) with Q |= tuple : t, drawn from the evaluation's label counter."""
     return fresh_labels_for(t, env.labels)
 
@@ -139,30 +138,25 @@ def eval_config(cfg: LeftConfig, env: EvalEnv) -> EvalOutcome:
         sandbox_term = Let(
             "#box",
             m.value.body,
-            leaf(App(Var("#box"), mvalue_to_value(in_tuple))),
+            leaf(App(Var("#box"), in_tuple)),
         )
         outcome = eval_config(LeftConfig(Circuit(q), EMPTY_ASSIGNMENT, sandbox_term), env)
         if isinstance(outcome, (FuelExhausted, Stuck)):
             return outcome
         inner = outcome.config
-        out_tuples = {}
-        for p, v in path_items(inner.value):
-            mv = value_to_mvalue(v)
-            if mv is None:
-                return Stuck("BoxResultNotMValue", cfg)
-            out_tuples[p] = mv
-        boxed = BoxedCircuit(in_tuple, inner.circuit, from_map(inner.value, out_tuples))
+        if not all(map(is_label_tuple, leaves(inner.value))):
+            return Stuck("BoxResultNotMValue", cfg)
+        boxed = BoxedCircuit(in_tuple, inner.circuit, inner.value)
         return Done(RightConfig(cfg.circuit, leaf(Boxed(boxed))))
 
     if isinstance(m, Apply):
         if not isinstance(m.boxed, Boxed):
             return Stuck("ApplyNonBoxed", cfg)
-        target = value_to_mvalue(m.arg)
-        if target is None:
+        if not is_label_tuple(m.arg):
             return Stuck("ApplyTargetNotLabels", cfg)
         try:
             circuit, out_tuples = append(
-                cfg.circuit, cfg.branch, target, m.boxed.boxed,
+                cfg.circuit, cfg.branch, m.arg, m.boxed.boxed,
                 list(m.vars), env.gateset, env.labels,
             )
         except CircuitError as exc:
@@ -175,7 +169,7 @@ def eval_config(cfg: LeftConfig, env: EvalEnv) -> EvalOutcome:
                 env.findings.append(
                     f"branch-independence: instruction `{ins}` added on branch {cfg.branch}"
                 )
-        return Done(RightConfig(circuit, map_leaves(out_tuples, mvalue_to_value)))
+        return Done(RightConfig(circuit, out_tuples))
 
     if isinstance(m, Let):
         bound = eval_config(LeftConfig(cfg.circuit, cfg.branch, m.bound), env)

@@ -15,7 +15,6 @@ import re
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from . import circuit as crl
 from . import trees
 from .circuit import (
     BoxedCircuit,
@@ -25,12 +24,6 @@ from .circuit import (
     GateSet,
     LabelContext,
     LiftInstr,
-    MLabel,
-    MPair,
-    MType,
-    MValue,
-    M_STAR,
-    WireType,
     check_signature,
     mtuple,
     mvalue_labels,
@@ -40,17 +33,22 @@ from .syntax import (
     App,
     Apply,
     ArrowType,
+    BIT,
+    BIT_TYPE,
     BangType,
     Box,
     Boxed,
     CircType,
     Force,
+    LabelVal,
     Lam,
     Let,
     LetPair,
     LiftV,
     Pair,
     PqkType,
+    QUBIT,
+    QUBIT_TYPE,
     Return,
     Span,
     TensorType,
@@ -59,7 +57,7 @@ from .syntax import (
     UNIT_TYPE,
     Value,
     Var,
-    WireT,
+    WireType,
     _subst,
 )
 from .trees import (
@@ -387,9 +385,9 @@ class _Parser:
         if self.accept("Unit"):
             return UNIT_TYPE
         if self.accept("Bit"):
-            return WireT(crl.BIT)
+            return BIT_TYPE
         if self.accept("Qubit"):
-            return WireT(crl.QUBIT)
+            return QUBIT_TYPE
         if self.accept("!"):
             if self.at("<"):
                 return BangType(self.parse_lifted(self.parse_type))
@@ -428,20 +426,20 @@ class _Parser:
         """A lifting tree's leaf, written ``_``."""
         self.expect("_")
 
-    def parse_mtype(self) -> MType:
+    def parse_mtype(self) -> PqkType:
         left = self.parse_mtype_atom()
         if self.accept("*"):
-            return crl.MTensor(left, self.parse_mtype())
+            return TensorType(left, self.parse_mtype())
         return left
 
-    def parse_mtype_atom(self) -> MType:
+    def parse_mtype_atom(self) -> PqkType:
         tok = self.peek()
         if self.accept("Unit"):
-            return crl.M_UNIT
+            return UNIT_TYPE
         if self.accept("Bit"):
-            return crl.M_BIT
+            return BIT_TYPE
         if self.accept("Qubit"):
-            return crl.M_QUBIT
+            return QUBIT_TYPE
         if self.accept("("):
             inner = self.parse_mtype()
             self.expect(")")
@@ -480,9 +478,9 @@ class _Parser:
 
     def parse_wiretype(self) -> WireType:
         if self.accept("Bit"):
-            return crl.BIT
+            return BIT
         if self.accept("Qubit"):
-            return crl.QUBIT
+            return QUBIT
         self.fail("expected Bit or Qubit")
 
     def parse_instruction(self):
@@ -522,26 +520,26 @@ class _Parser:
         self.expect(")")
         return Assignment.of(bindings)
 
-    def parse_mvalue_args(self) -> MValue:
+    def parse_mvalue_args(self) -> Value:
         if self.at(")"):
-            return M_STAR
+            return Unit()
         parts = [self.parse_mvalue()]
         while self.accept(","):
             parts.append(self.parse_mvalue())
         value = parts[-1]
         for v in reversed(parts[:-1]):
-            value = MPair(v, value)
+            value = Pair(v, value)
         return value
 
-    def parse_mvalue(self) -> MValue:
+    def parse_mvalue(self) -> Value:
         if self.accept("*"):
-            return M_STAR
+            return Unit()
         if self.accept("("):
             inner = self.parse_mvalue_args()
             self.expect(")")
             return inner
         name = self.expect_label()
-        return MLabel(name.text)
+        return LabelVal(name.text)
 
 
 def boxed_from_circuit(circuit: Circuit, gateset: GateSet = DEFAULT_GATES) -> BoxedCircuit:
@@ -608,5 +606,5 @@ def parse_type_text(src: str, gateset: GateSet = DEFAULT_GATES) -> PqkType:
     return _parse_whole(src, gateset, _Parser.parse_type)
 
 
-def parse_mtype_text(src: str) -> MType:
+def parse_mtype_text(src: str) -> PqkType:
     return _parse_whole(src, DEFAULT_GATES, _Parser.parse_mtype)

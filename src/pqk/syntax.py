@@ -1,28 +1,22 @@
 """Abstract syntax of the calculus: types, terms, values.
 
 Values are syntactically separated from (effectful) terms, and computation
-types are lifted objects over types.  Also here: free-variable collection,
-capture-avoiding substitution, alpha-equivalence and the pretty printer.
+types are lifted objects over types.  The first-order types Unit, Bit, Qubit
+and `*` (the M-types) and the values `*`, labels and pairs of them (the label
+tuples) are also the circuit language's types and tuples.  Also here:
+free-variable collection, capture-avoiding substitution, alpha-equivalence
+and the pretty printer.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from enum import Enum
 from typing import Iterable, Mapping
 
-from . import circuit as crl
+from . import circuit as crl  # used at call time only: circuit imports this module's classes
 from . import trees
-from .circuit import (
-    BoxedCircuit,
-    MType,
-    MTensor,
-    MUnit,
-    MWire,
-    WireType,
-    canonicalize_boxed_vars,
-    format_circuit,
-)
 from .trees import (
     Lifted,
     LiftedLeaf,
@@ -47,6 +41,18 @@ class Span:
 
 # ---------------------------------------------------------------------------
 # Types
+
+
+class WireType(Enum):
+    BIT = "Bit"
+    QUBIT = "Qubit"
+
+    def __str__(self) -> str:
+        return self.value
+
+
+BIT = WireType.BIT
+QUBIT = WireType.QUBIT
 
 
 class PqkType:
@@ -96,8 +102,8 @@ class BangType(PqkType):
 
 @dataclass(frozen=True)
 class CircType(PqkType):
-    in_type: MType
-    out: Lifted  # of MType
+    in_type: PqkType  # an M-type
+    out: Lifted  # of M-types
 
     @property
     def tree(self) -> LiftingTree:
@@ -121,31 +127,15 @@ class TensorType(PqkType):
 
 
 UNIT_TYPE = UnitType()
-BIT_TYPE = WireT(crl.BIT)
-QUBIT_TYPE = WireT(crl.QUBIT)
+BIT_TYPE = WireT(BIT)
+QUBIT_TYPE = WireT(QUBIT)
 
 
-def embed_mtype(t: MType) -> PqkType:
-    if isinstance(t, MUnit):
-        return UNIT_TYPE
-    if isinstance(t, MWire):
-        return WireT(t.wire)
-    assert isinstance(t, MTensor)
-    return TensorType(embed_mtype(t.left), embed_mtype(t.right))
-
-
-def as_mtype(a: PqkType) -> MType | None:
-    """The M-type a denotes, or None when a is not an M-type."""
-    if isinstance(a, UnitType):
-        return crl.M_UNIT
-    if isinstance(a, WireT):
-        return MWire(a.wire)
+def is_mtype(a: PqkType) -> bool:
+    """M-types are built from Unit, Bit and Qubit by `*`."""
     if isinstance(a, TensorType):
-        left = as_mtype(a.left)
-        right = as_mtype(a.right)
-        if left is not None and right is not None:
-            return MTensor(left, right)
-    return None
+        return is_mtype(a.left) and is_mtype(a.right)
+    return isinstance(a, (UnitType, WireT))
 
 
 def is_parameter(a: PqkType) -> bool:
@@ -163,6 +153,9 @@ def is_parameter(a: PqkType) -> bool:
 
 class Value:
     __slots__ = ()
+
+    def __str__(self) -> str:
+        return format_value(self)
 
 
 class Term:
@@ -206,7 +199,7 @@ class LiftV(Value):
 
 @dataclass(frozen=True)
 class Boxed(Value):
-    boxed: BoxedCircuit
+    boxed: crl.BoxedCircuit
     span: Span | None = _span_field()
 
 
@@ -249,7 +242,7 @@ class Force(Term):
 
 @dataclass(frozen=True)
 class Box(Term):
-    mtype: MType
+    mtype: PqkType  # an M-type
     value: Value
     span: Span | None = _span_field()
 
@@ -266,6 +259,13 @@ class Apply(Term):
 class Return(Term):
     value: Value
     span: Span | None = _span_field()
+
+
+def is_label_tuple(v: Value) -> bool:
+    """Label tuples are built from * and labels by pairing."""
+    if isinstance(v, Pair):
+        return is_label_tuple(v.left) and is_label_tuple(v.right)
+    return isinstance(v, (Unit, LabelVal))
 
 
 # ---------------------------------------------------------------------------
@@ -563,7 +563,7 @@ def _alpha(a, b, ea: dict, eb: dict, depth: list[int]) -> bool:
     if isinstance(a, LiftV):
         return _alpha(a.body, b.body, ea, eb, depth)
     if isinstance(a, Boxed):
-        return canonicalize_boxed_vars(a.boxed) == canonicalize_boxed_vars(b.boxed)
+        return crl.canonicalize_boxed_vars(a.boxed) == crl.canonicalize_boxed_vars(b.boxed)
     if isinstance(a, Pair):
         return _alpha(a.left, b.left, ea, eb, depth) and _alpha(a.right, b.right, ea, eb, depth)
     if isinstance(a, App):
@@ -600,18 +600,6 @@ def _alpha(a, b, ea: dict, eb: dict, depth: list[int]) -> bool:
 # Pretty printing (surface syntax)
 
 
-def format_mtype(t: MType) -> str:
-    if isinstance(t, MUnit):
-        return "Unit"
-    if isinstance(t, MWire):
-        return str(t.wire)
-    assert isinstance(t, MTensor)
-    left = format_mtype(t.left)
-    if isinstance(t.left, MTensor):
-        left = f"({left})"
-    return f"{left} * {format_mtype(t.right)}"
-
-
 def _format_lifted(obj: Lifted, fmt_leaf) -> str:
     if isinstance(obj, LiftedLeaf):
         return fmt_leaf(obj.value)
@@ -643,8 +631,8 @@ def format_type(a: PqkType) -> str:
             return f"!{_type_atom(a.inner.value)}"
         return f"!{_format_lifted(a.inner, _type_atom)}"
     if isinstance(a, CircType):
-        out = _format_lifted(a.out, format_mtype)
-        return f"Circ[{a.tree}]({format_mtype(a.in_type)}, {out})"
+        out = _format_lifted(a.out, format_type)
+        return f"Circ[{a.tree}]({format_type(a.in_type)}, {out})"
     assert isinstance(a, TensorType)
     left = format_type(a.left)
     if isinstance(a.left, (ArrowType, TensorType)):
@@ -688,7 +676,7 @@ def format_term(m: Term) -> str:
     if isinstance(m, Force):
         return f"force {_value_atom(m.value)}"
     if isinstance(m, Box):
-        return f"box[{format_mtype(m.mtype)}] {_value_atom(m.value)}"
+        return f"box[{format_type(m.mtype)}] {_value_atom(m.value)}"
     if isinstance(m, Apply):
         vars_part = f"[{', '.join(m.vars)}]" if m.vars else ""
         return f"apply{vars_part}({format_value(m.boxed)}, {format_value(m.arg)})"
@@ -706,18 +694,18 @@ def _format_lifted_term(obj: Lifted) -> str:
     )
 
 
-def format_boxed(b: BoxedCircuit) -> str:
+def format_boxed(b: crl.BoxedCircuit) -> str:
     """Inline crl literal when the layout convention reconstructs b, else a
     non-parseable debug rendering."""
     from .parser import boxed_from_circuit  # cycle-free at call time
 
     try:
         if boxed_from_circuit(b.circuit) == b:
-            body = format_circuit(b.circuit).replace("\n", " ")
+            body = crl.format_circuit(b.circuit).replace("\n", " ")
             return f"crl {{ {body} }}"
     except Exception:
         pass
-    return f"<boxed {b.in_tuple} -> {_format_lifted(b.out_tuples, str)} of {{{format_circuit(b.circuit)}}}>"
+    return f"<boxed {b.in_tuple} -> {_format_lifted(b.out_tuples, str)} of {{{crl.format_circuit(b.circuit)}}}>"
 
 
 def format_lifted_value(obj: Lifted) -> str:

@@ -376,16 +376,12 @@ def leaves(obj: Lifted) -> list[Any]:
     return [value for _, value in path_items(obj)]
 
 
-def rename_lifted(obj: Lifted, pi: Renaming, leaf_fn: Callable[[Any], Any] | None = None) -> Lifted:
-    """Rename node variables; leaf payloads are renamed by leaf_fn when given."""
+def rename_lifted(obj: Lifted, pi: Renaming) -> Lifted:
+    """Rename node variables; leaf payloads are kept."""
     if isinstance(obj, LiftedLeaf):
-        return LiftedLeaf(leaf_fn(obj.value)) if leaf_fn else obj
+        return obj
     assert isinstance(obj, LiftedNode)
-    return LiftedNode(
-        pi(obj.var),
-        rename_lifted(obj.zero, pi, leaf_fn),
-        rename_lifted(obj.one, pi, leaf_fn),
-    )
+    return LiftedNode(pi(obj.var), rename_lifted(obj.zero, pi), rename_lifted(obj.one, pi))
 
 
 # ---------------------------------------------------------------------------

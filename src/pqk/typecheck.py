@@ -17,12 +17,6 @@ from .circuit import (
     DEFAULT_GATES,
     GateSet,
     LabelContext,
-    MLabel,
-    MPair,
-    MType,
-    MUnitVal,
-    MValue,
-    M_STAR,
     check_signature,
     type_mvalue,
 )
@@ -65,9 +59,9 @@ from .syntax import (
     Value,
     Var,
     WireT,
-    as_mtype,
-    embed_mtype,
     free_labels,
+    is_label_tuple,
+    is_mtype,
     is_parameter,
     lifted_types_equal,
     types_equal,
@@ -331,25 +325,20 @@ class Checker:
             arrow = ty.inner.value
             if not isinstance(arrow, ArrowType):
                 raise shape_err
-            dom_mtype = as_mtype(arrow.dom)
-            if dom_mtype is None or dom_mtype != m.mtype:
+            if not is_mtype(arrow.dom) or arrow.dom != m.mtype:
                 raise TypeCheckError(
                     KIND_TYPE_MISMATCH,
                     f"box annotation {m.mtype} does not match the function domain {arrow.dom}",
                     rule="box", span=m.span,
                 )
-            out_types = {}
             for p, cod in path_items(arrow.cod):
-                mt = as_mtype(cod)
-                if mt is None:
+                if not is_mtype(cod):
                     raise TypeCheckError(
                         KIND_TYPE_MISMATCH,
                         "boxed function must return label tuples on every branch",
                         rule="box", branch=p, span=m.span,
                     )
-                out_types[p] = mt
-            theta = from_map(arrow.cod, out_types)
-            return ComputationTyping(EMPTY_TREE, leaf(CircType(m.mtype, theta))), ctx1
+            return ComputationTyping(EMPTY_TREE, leaf(CircType(m.mtype, arrow.cod))), ctx1
         if isinstance(m, Apply):
             circ_ty, ctx1 = self.check_value(ctx, m.boxed)
             if not isinstance(circ_ty, CircType):
@@ -368,14 +357,13 @@ class Checker:
                                      "apply's lifted variables must be pairwise distinct",
                                      rule="apply", span=m.span)
             arg_ty, ctx2 = self.check_value(ctx1, m.arg)
-            expected = embed_mtype(circ_ty.in_type)
-            if not types_equal(arg_ty, expected):
+            if not types_equal(arg_ty, circ_ty.in_type):
                 raise TypeCheckError(
                     KIND_TYPE_MISMATCH,
-                    f"apply target has type {arg_ty}, circuit expects {expected}",
+                    f"apply target has type {arg_ty}, circuit expects {circ_ty.in_type}",
                     rule="apply", span=m.span,
                 )
-            out_type = rename_lifted(circ_ty.out, Renaming(dict(zip(binders, m.vars))), embed_mtype)
+            out_type = rename_lifted(circ_ty.out, Renaming(dict(zip(binders, m.vars))))
             return ComputationTyping(out_type.tree(), out_type), ctx2
         raise TypeCheckError(KIND_TYPE_MISMATCH, f"not a term: {m!r}", rule="?")
 
@@ -469,41 +457,19 @@ def check_closed_value(v: Value, gateset: GateSet = DEFAULT_GATES) -> PqkType:
 # M-judgment bridge
 
 
-def mjudgment_bridge(q: LabelContext, v: Value, gateset: GateSet = DEFAULT_GATES) -> MType:
-    """Coerce a closed value typed at an M-type into the M-value world.
+def mjudgment_bridge(q: LabelContext, v: Value, gateset: GateSet = DEFAULT_GATES) -> PqkType:
+    """The M-type of a closed value typed at an M-type, by the circuit
+    language's judgment Q |= v : T.
 
-    Closed values of M-type are syntactically M-values; anything else raises
-    NotAnMValue.
+    Closed values of M-type are syntactically label tuples; anything else
+    raises NotAnMValue.
     """
-    mv = value_to_mvalue(v)
-    if mv is None:
+    if not is_label_tuple(v):
         raise TypeCheckError(KIND_NOT_AN_MVALUE, f"{v} is not a label tuple", rule="m-bridge")
     try:
-        return type_mvalue(q, mv)
+        return type_mvalue(q, v)
     except CircuitError as exc:
         raise TypeCheckError(KIND_NOT_AN_MVALUE, str(exc), rule="m-bridge") from exc
-
-
-def value_to_mvalue(v: Value) -> MValue | None:
-    if isinstance(v, Unit):
-        return M_STAR
-    if isinstance(v, LabelVal):
-        return MLabel(v.name)
-    if isinstance(v, Pair):
-        left = value_to_mvalue(v.left)
-        right = value_to_mvalue(v.right)
-        if left is not None and right is not None:
-            return MPair(left, right)
-    return None
-
-
-def mvalue_to_value(mv: MValue) -> Value:
-    if isinstance(mv, MUnitVal):
-        return Unit()
-    if isinstance(mv, MLabel):
-        return LabelVal(mv.name)
-    assert isinstance(mv, MPair)
-    return Pair(mvalue_to_value(mv.left), mvalue_to_value(mv.right))
 
 
 # ---------------------------------------------------------------------------

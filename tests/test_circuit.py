@@ -30,6 +30,7 @@ from pqk.circuit import (
     format_circuit,
     insert,
     mtuple,
+    mvalue_labels,
     rename_labels_boxed,
     rename_labels_circuit,
     rename_labels_signature,
@@ -435,7 +436,7 @@ class TestAppendSignatureProperty:
                     sub = sub.without(v)
                 tup = _lookup(out, sub)
                 got_ctx = _lookup(new_sig.outputs, p)
-                labels = set(tup.labels())
+                labels = set(mvalue_labels(tup))
                 sub_ctx = LabelContext.of(
                     {n: w for n, w in got_ctx.entries if n in labels}
                 )

@@ -14,14 +14,15 @@ from pqk.fuzz import (
     gen_well_typed,
     run_fuzz,
     seed_boxes,
+    shrink_candidates,
     shrink_finding,
 )
-from pqk.interp import Stuck, run_closed
+from pqk.interp import EvalEnv, Stuck, run_closed
 from pqk.parser import parse_program, parse_term
 from pqk.syntax import Return, Unit, format_term
 from pqk.typecheck import check_closed_term
 
-from mutants import skip_let_flatten
+from mutants import skip_let_flatten, stuck_lifting_apply
 
 PROGRAMS = pathlib.Path(__file__).resolve().parent.parent / "programs"
 
@@ -93,16 +94,28 @@ class TestMutationSensitivity:
         assert any(f is not None for f in findings)
 
 
+def stuck(term) -> bool:
+    """Whether term is a progress violation: well-typed, and evaluation gets stuck."""
+    try:
+        check_closed_term(term)
+    except TypeCheckError:
+        return False
+    return isinstance(run_closed(term, EvalEnv()), Stuck)
+
+
 class TestShrinking:
-    def test_shrinker_reaches_fixpoint(self):
-        # a progress violation crafted by hand: stuck apply of a non-boxed value
-        term = parse_term(
-            "let z = return * in (fun (c : Unit) -> apply(c, *)) z"
-        )
-        # it is ill-typed (Unit applied as a circuit), so use a runtime-stuck one:
-        term = parse_term("let x = return (lift return *) in force x")
-        # force of a variable cannot step after substitution? it can: x := lift…
-        assert check_progress(term) is None
+    def test_shrinker_reaches_fixpoint(self, monkeypatch):
+        # Generated programs are mostly let chains, and the mutant gets stuck
+        # deep inside them, so every finding must shrink below its outer lets.
+        stuck_lifting_apply(monkeypatch)
+        corpus = gen_corpus(GenConfig(seed=3, max_depth=6), 40)
+        findings = [(t, f) for t in corpus if (f := check_progress(t)) is not None]
+        assert len(findings) >= 10
+        for term, finding in findings:
+            assert len(finding.program) < len(format_term(term))
+            shrunk = parse_term(finding.program)
+            assert stuck(shrunk)
+            assert not any(stuck(c) for c in shrink_candidates(shrunk) if c != shrunk)
 
     def test_shrink_preserves_property(self):
         calls = []

@@ -316,13 +316,11 @@ class TestMJudgmentBridge:
             names = list(labels)
             rng.shuffle(names)
             from pqk.circuit import mtuple
-            from pqk.typecheck import mvalue_to_value
-            from pqk.syntax import embed_mtype
 
-            value = mvalue_to_value(mtuple(names))
+            value = mtuple(names)
             got = mjudgment_bridge(q, value)
             ty, leftover = type_value(TypingContext(labels=q), value)
-            assert types_equal(ty, embed_mtype(got))
+            assert types_equal(ty, got)
             assert not leftover.labels
 
 
