@@ -41,7 +41,6 @@ from .trees import (
     Lifted,
     LiftedLeaf,
     LiftedNode,
-    LiftingTree,
     Renaming,
     TreeLeaf,
     TreeNode,

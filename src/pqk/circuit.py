@@ -14,7 +14,6 @@ from typing import Any, Iterable, Mapping
 
 from . import trees
 from .errors import (
-    AssignmentClash,
     DuplicateLabel,
     GateArityMismatch,
     InvalidBranch,
@@ -43,9 +42,10 @@ from .syntax import (
     WireType,
 )
 from .trees import (
+    EMPTY_ASSIGNMENT,
+    IDENTITY,
     Assignment,
     Lifted,
-    LiftingTree,
     Renaming,
     all_vars,
     is_consistent,
@@ -62,18 +62,8 @@ from .trees import (
 # ---------------------------------------------------------------------------
 # Label tuples
 
-# Old names of the M-types and label tuples, which are the term language's
-# first-order types and values.
-MUnit = UnitType
-MWire = WireT
-MTensor = TensorType
-MUnitVal = Unit
+# An old name of LabelVal, kept only because bench/test_bench.py imports it.
 MLabel = LabelVal
-MPair = Pair
-M_UNIT = UNIT_TYPE
-M_BIT = BIT_TYPE
-M_QUBIT = QUBIT_TYPE
-M_STAR = Unit()
 
 
 def mvalue_labels(v: Value) -> list[str]:
@@ -316,14 +306,14 @@ class Circuit:
     def extended(self, instr: Instruction) -> Circuit:
         return Circuit(self.input, self.instructions + (instr,))
 
-    def all_labels(self) -> set[str]:
-        out = set(self.input.domain())
+    def all_labels(self) -> dict[str, None]:
+        """Every label of the circuit, in order of first occurrence."""
+        out = dict.fromkeys(n for n, _ in self.input.entries)
         for ins in self.instructions:
             if isinstance(ins, GateApp):
-                out.update(mvalue_labels(ins.inputs))
-                out.update(mvalue_labels(ins.outputs))
+                out.update(dict.fromkeys(mvalue_labels(ins.inputs) + mvalue_labels(ins.outputs)))
             else:
-                out.add(ins.wire)
+                out[ins.wire] = None
         return out
 
     def __str__(self) -> str:
@@ -346,7 +336,7 @@ class CircuitSignature:
     outputs: Lifted  # of LabelContext
 
     @property
-    def tree(self) -> LiftingTree:
+    def tree(self) -> Lifted:
         """The circuit's lifting tree: the shape of its output contexts."""
         return self.outputs.tree()
 
@@ -445,7 +435,7 @@ def check_signature(c: Circuit, gateset: GateSet = DEFAULT_GATES) -> CircuitSign
 
 
 def rename_mvalue(v: Value, rho: Renaming) -> Value:
-    if isinstance(v, Unit):
+    if not rho or isinstance(v, Unit):
         return v
     if isinstance(v, LabelVal):
         return LabelVal(rho(v.name))
@@ -453,32 +443,22 @@ def rename_mvalue(v: Value, rho: Renaming) -> Value:
     return Pair(rename_mvalue(v.left, rho), rename_mvalue(v.right, rho))
 
 
-def rename_labels_circuit(c: Circuit, rho: Renaming) -> Circuit:
-    instrs = []
-    for ins in c.instructions:
-        if isinstance(ins, GateApp):
-            instrs.append(GateApp(ins.cond, ins.gate, rename_mvalue(ins.inputs, rho), rename_mvalue(ins.outputs, rho)))
-        else:
-            instrs.append(LiftInstr(ins.cond, rho(ins.wire), ins.var))
-    return Circuit(c.input.rename(rho), tuple(instrs))
+def _rewrite(ins: Instruction, rho: Renaming, pi: Renaming, a: Assignment = EMPTY_ASSIGNMENT) -> Instruction:
+    """ins with labels renamed by rho, lifted variables by pi, and a joined to its condition."""
+    cond = a.union(ins.cond.rename(pi))
+    if isinstance(ins, GateApp):
+        return GateApp(cond, ins.gate, rename_mvalue(ins.inputs, rho), rename_mvalue(ins.outputs, rho))
+    return LiftInstr(cond, rho(ins.wire), pi(ins.var))
 
 
-def rename_lifted_circuit(c: Circuit, pi: Renaming) -> Circuit:
-    instrs = []
-    for ins in c.instructions:
-        if isinstance(ins, GateApp):
-            instrs.append(GateApp(ins.cond.rename(pi), ins.gate, ins.inputs, ins.outputs))
-        else:
-            instrs.append(LiftInstr(ins.cond.rename(pi), ins.wire, pi(ins.var)))
-    return Circuit(c.input, tuple(instrs))
+def rename_circuit(c: Circuit, rho: Renaming = IDENTITY, pi: Renaming = IDENTITY) -> Circuit:
+    """c with its labels renamed by rho and its lifted variables by pi."""
+    return Circuit(c.input.rename(rho), tuple(_rewrite(ins, rho, pi) for ins in c.instructions))
 
 
-def rename_labels_signature(sig: CircuitSignature, rho: Renaming) -> CircuitSignature:
-    return CircuitSignature(sig.input.rename(rho), map_leaves(sig.outputs, lambda q: q.rename(rho)))
-
-
-def rename_lifted_signature(sig: CircuitSignature, pi: Renaming) -> CircuitSignature:
-    return CircuitSignature(sig.input, rename_lifted(sig.outputs, pi))
+def rename_signature(sig: CircuitSignature, rho: Renaming = IDENTITY, pi: Renaming = IDENTITY) -> CircuitSignature:
+    """sig with its labels renamed by rho and its lifted variables by pi."""
+    return CircuitSignature(sig.input.rename(rho), rename_lifted(map_leaves(sig.outputs, lambda q: q.rename(rho)), pi))
 
 
 # ---------------------------------------------------------------------------
@@ -498,7 +478,7 @@ class BoxedCircuit:
     out_tuples: Lifted  # of label tuples
 
     @property
-    def tree(self) -> LiftingTree:
+    def tree(self) -> Lifted:
         return self.out_tuples.tree()
 
     def binder_order(self) -> list[str]:
@@ -511,19 +491,12 @@ class BoxedCircuit:
     __repr__ = __str__
 
 
-def rename_labels_boxed(b: BoxedCircuit, rho: Renaming) -> BoxedCircuit:
+def rename_boxed(b: BoxedCircuit, rho: Renaming = IDENTITY, pi: Renaming = IDENTITY) -> BoxedCircuit:
+    """b with its labels renamed by rho and its lifted variables by pi."""
     return BoxedCircuit(
         rename_mvalue(b.in_tuple, rho),
-        rename_labels_circuit(b.circuit, rho),
-        map_leaves(b.out_tuples, lambda v: rename_mvalue(v, rho)),
-    )
-
-
-def rename_lifted_boxed(b: BoxedCircuit, pi: Renaming) -> BoxedCircuit:
-    return BoxedCircuit(
-        b.in_tuple,
-        rename_lifted_circuit(b.circuit, pi),
-        rename_lifted(b.out_tuples, pi),
+        rename_circuit(b.circuit, rho, pi),
+        rename_lifted(map_leaves(b.out_tuples, lambda v: rename_mvalue(v, rho)), pi),
     )
 
 
@@ -540,7 +513,7 @@ def canonicalize_boxed_vars(b: BoxedCircuit) -> BoxedCircuit:
     for v in preorder_vars(b.out_tuples):
         lifted_order.setdefault(v)
     pi = Renaming({v: f"~v{i}" for i, v in enumerate(lifted_order)})
-    return rename_lifted_boxed(b, pi)
+    return rename_boxed(b, pi=pi)
 
 
 def canonical_boxed(b: BoxedCircuit) -> BoxedCircuit:
@@ -551,26 +524,12 @@ def canonical_boxed(b: BoxedCircuit) -> BoxedCircuit:
     out tuples).
     """
     b = canonicalize_boxed_vars(b)
-
-    label_order: list[str] = []
-
-    def see(names: Iterable[str]):
-        for n in names:
-            if n not in label_order:
-                label_order.append(n)
-
-    see(mvalue_labels(b.in_tuple))
-    see(n for n, _ in b.circuit.input.entries)
-    for ins in b.circuit.instructions:
-        if isinstance(ins, GateApp):
-            see(mvalue_labels(ins.inputs))
-            see(mvalue_labels(ins.outputs))
-        else:
-            see([ins.wire])
+    order = dict.fromkeys(mvalue_labels(b.in_tuple))
+    order.update(b.circuit.all_labels())
     for v in trees.leaves(b.out_tuples):
-        see(mvalue_labels(v))
-    rho = Renaming({n: f"~l{i}" for i, n in enumerate(label_order)})
-    return rename_labels_boxed(b, rho)
+        order.update(dict.fromkeys(mvalue_labels(v)))
+    rho = Renaming({n: f"~l{i}" for i, n in enumerate(order)})
+    return rename_boxed(b, rho)
 
 
 def boxed_equiv(b1: BoxedCircuit, b2: BoxedCircuit) -> bool:
@@ -584,18 +543,8 @@ def boxed_equiv(b1: BoxedCircuit, b2: BoxedCircuit) -> bool:
 
 def insert(c: Circuit, a: Assignment, d: Circuit) -> Circuit:
     """Append d's instructions to c, each condition unioned with a (C ::_a D)."""
-    added: list[Instruction] = []
-    for ins in d.instructions:
-        if a.domain() & ins.cond.domain():
-            raise AssignmentClash(
-                f"instruction condition {ins.cond} overlaps insertion branch {a}"
-            )
-        cond = a.union(ins.cond)
-        if isinstance(ins, GateApp):
-            added.append(GateApp(cond, ins.gate, ins.inputs, ins.outputs))
-        else:
-            added.append(LiftInstr(cond, ins.wire, ins.var))
-    return Circuit(c.input, c.instructions + tuple(added))
+    added = tuple(_rewrite(ins, IDENTITY, IDENTITY, a) for ins in d.instructions)
+    return Circuit(c.input, c.instructions + added)
 
 
 class FreshLabels:
@@ -711,7 +660,7 @@ def append(
     boxed_labels = boxed.circuit.all_labels()
     if labels is None:
         labels = FreshLabels.above(state.labels, boxed_labels)
-    for name in sorted(boxed_labels | set(mvalue_labels(boxed.in_tuple))):
+    for name in sorted(boxed_labels.keys() | mvalue_labels(boxed.in_tuple)):
         if name not in mapping:
             fresh = labels.fresh()
             while fresh in state.labels:
@@ -719,21 +668,18 @@ def append(
             mapping[name] = fresh
     if len(set(mapping.values())) != len(mapping):
         raise PreconditionViolated("relabeling is not injective")
-    rho = Renaming(mapping)
-    relabeled = rename_labels_boxed(boxed, rho)
 
-    # step 2: instantiate the abstracted lifted variables
+    # step 2: instantiate the abstracted lifted variables, in the same rebuild
     pi = Renaming(dict(zip(binders, fresh_vars)))
-    body = rename_lifted_circuit(relabeled.circuit, pi)
-    out_tuples = rename_lifted(relabeled.out_tuples, pi)
+    instance = rename_boxed(boxed, Renaming(mapping), pi)
 
     # step 3: insert on branch a, extending the carried state by the new instructions
-    out = insert(c, a, body)
+    out = insert(c, a, instance.circuit)
     extended = state.copy()
     for ins in out.instructions[len(c.instructions):]:
         extend_signature(extended, ins, gateset)
     out._carried[gateset] = extended
-    return out, out_tuples
+    return out, instance.out_tuples
 
 
 # ---------------------------------------------------------------------------

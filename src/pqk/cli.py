@@ -22,7 +22,7 @@ from .circuit import (
     signature_to_json,
     check_signature,
 )
-from .errors import PqkError
+from .errors import PqkError, PqkSyntaxError
 from .fuzz import GenConfig, run_fuzz
 from .interp import DEFAULT_FUEL, Done, EvalEnv, FuelExhausted, Stuck, run_closed
 from .parser import parse_circuit_text, parse_mtype_text, parse_program
@@ -51,11 +51,20 @@ def load_gateset() -> GateSet:
     if not path:
         return DEFAULT_GATES
     with open(path) as fh:
-        data = json.load(fh)
-    gates = [
-        Gate(name, parse_mtype_text(entry["in"]), parse_mtype_text(entry["out"]))
-        for name, entry in data.items()
-    ]
+        try:
+            data = json.load(fh)
+        except ValueError as exc:
+            raise PqkError(f"gate set {path}: not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise PqkError(f"gate set {path}: expected a JSON object of gates")
+    gates = []
+    for name, entry in data.items():
+        if not (isinstance(entry, dict) and isinstance(entry.get("in"), str) and isinstance(entry.get("out"), str)):
+            raise PqkError(f'gate set {path}: gate {name} needs "in" and "out" M-type strings')
+        try:
+            gates.append(Gate(name, parse_mtype_text(entry["in"]), parse_mtype_text(entry["out"])))
+        except PqkSyntaxError as exc:
+            raise PqkError(f"gate set {path}: gate {name}: {exc}") from exc
     return GateSet(gates)
 
 

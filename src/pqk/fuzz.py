@@ -49,6 +49,7 @@ from .syntax import (
 )
 from .trees import (
     Lifted,
+    LiftedLeaf,
     LiftedNode,
     all_vars,
     flatten_family,
@@ -103,7 +104,6 @@ DEFAULT_WEIGHTS = {
 class GenConfig:
     seed: int = 0
     max_depth: int = 6
-    max_tree_depth: int = 3
     gateset: GateSet = DEFAULT_GATES
     weights: dict[str, float] = field(default_factory=lambda: dict(DEFAULT_WEIGHTS))
 
@@ -450,11 +450,16 @@ def shrink_candidates(term: Term):
 
     A let's branches have its variable free, so besides the bound term and the
     branches themselves the let is also offered with its bound term, or one
-    branch, replaced by each of that subterm's own candidates.
+    branch, replaced by each of that subterm's own candidates; a let of a
+    returned value, and a pair destructor of a pair, are offered with the
+    value substituted into the body.  A lambda's body is shrunk in place, both
+    in a returned lambda and in the function of an application.
     """
     if isinstance(term, Let):
         yield term.bound
         yield from leaves(term.branches)
+        if isinstance(term.bound, Return) and isinstance(term.branches, LiftedLeaf):
+            yield substitute(term.branches.value, term.bound.value, term.var)
         for cand in shrink_candidates(term.bound):
             yield Let(term.var, cand, term.branches, term.span)
         for p, m in path_items(term.branches):
@@ -463,11 +468,24 @@ def shrink_candidates(term: Term):
                 yield Let(term.var, term.bound, branches, term.span)
     if isinstance(term, App) and isinstance(term.fn, Lam):
         yield substitute(term.fn.body, term.arg, term.fn.var)
+        for lam in _shrink_lambda(term.fn):
+            yield App(lam, term.arg, term.span)
+    if isinstance(term, Return) and isinstance(term.value, Lam):
+        for lam in _shrink_lambda(term.value):
+            yield Return(lam, term.span)
     if isinstance(term, Force) and isinstance(term.value, LiftV):
         yield term.value.body
     if isinstance(term, LetPair):
         yield term.body
+        if isinstance(term.value, Pair):
+            body = substitute(term.body, term.value.left, term.var1)
+            yield substitute(body, term.value.right, term.var2)
     yield Return(Unit())
+
+
+def _shrink_lambda(lam: Lam):
+    for cand in shrink_candidates(lam.body):
+        yield Lam(lam.var, lam.ann, cand, lam.span)
 
 
 def shrink_finding(term: Term, still_fails, max_steps: int = 200) -> Term:

@@ -33,7 +33,6 @@ from .syntax import (
     App,
     Apply,
     ArrowType,
-    BIT,
     BIT_TYPE,
     BangType,
     Box,
@@ -47,7 +46,6 @@ from .syntax import (
     LiftV,
     Pair,
     PqkType,
-    QUBIT,
     QUBIT_TYPE,
     Return,
     Span,
@@ -57,15 +55,17 @@ from .syntax import (
     UNIT_TYPE,
     Value,
     Var,
+    WireT,
     WireType,
     _subst,
+    format_type,
+    is_mtype,
 )
 from .trees import (
     Assignment,
     EMPTY_ASSIGNMENT,
     Lifted,
     LiftedNode,
-    LiftingTree,
     leaf,
 )
 
@@ -342,29 +342,30 @@ class _Parser:
         if self.at("crl"):
             return Boxed(self.parse_crl_literal(), span=tok.span)
         if self.accept("("):
-            first = self.parse_value()
-            if self.accept(","):
-                rest = [self.parse_value()]
-                while self.accept(","):
-                    rest.append(self.parse_value())
-                self.expect(")")
-                value = rest[-1]
-                for v in reversed([first] + rest[:-1]):
-                    value = Pair(v, value)
-                return value
+            value = self.parse_tuple(self.parse_value)
             self.expect(")")
-            return first
+            return value
         if self.at_ident():
             name = self.next()
             return Var(name.text, span=name.span)
         self.fail(f"expected a value, found {tok.text!r}")
+
+    def parse_tuple(self, parse_item: Callable[[], Value]) -> Value:
+        """Comma-separated items that parse_item reads, right-nested into pairs."""
+        items = [parse_item()]
+        while self.accept(","):
+            items.append(parse_item())
+        value = items.pop()
+        while items:
+            value = Pair(items.pop(), value)
+        return value
 
     # -- types
 
     def parse_type(self) -> PqkType:
         left = self.parse_tensor_type()
         if self.accept("-o"):
-            annotated: LiftingTree | None = None
+            annotated: Lifted | None = None
             if self.accept("["):
                 annotated = self.parse_lifted(self.parse_hole)
                 self.expect("]")
@@ -427,24 +428,11 @@ class _Parser:
         self.expect("_")
 
     def parse_mtype(self) -> PqkType:
-        left = self.parse_mtype_atom()
-        if self.accept("*"):
-            return TensorType(left, self.parse_mtype())
-        return left
-
-    def parse_mtype_atom(self) -> PqkType:
         tok = self.peek()
-        if self.accept("Unit"):
-            return UNIT_TYPE
-        if self.accept("Bit"):
-            return BIT_TYPE
-        if self.accept("Qubit"):
-            return QUBIT_TYPE
-        if self.accept("("):
-            inner = self.parse_mtype()
-            self.expect(")")
-            return inner
-        self.fail(f"expected an M-type, found {tok.text!r}")
+        ty = self.parse_type()
+        if not is_mtype(ty):
+            raise PqkSyntaxError(f"expected an M-type, found {format_type(ty)}", tok.line, tok.col)
+        return ty
 
     # -- CRL circuits
 
@@ -477,11 +465,11 @@ class _Parser:
         return circuit
 
     def parse_wiretype(self) -> WireType:
-        if self.accept("Bit"):
-            return BIT
-        if self.accept("Qubit"):
-            return QUBIT
-        self.fail("expected Bit or Qubit")
+        tok = self.peek()
+        ty = self.parse_type_atom()
+        if not isinstance(ty, WireT):
+            raise PqkSyntaxError("expected Bit or Qubit", tok.line, tok.col)
+        return ty.wire
 
     def parse_instruction(self):
         cond = EMPTY_ASSIGNMENT
@@ -521,15 +509,7 @@ class _Parser:
         return Assignment.of(bindings)
 
     def parse_mvalue_args(self) -> Value:
-        if self.at(")"):
-            return Unit()
-        parts = [self.parse_mvalue()]
-        while self.accept(","):
-            parts.append(self.parse_mvalue())
-        value = parts[-1]
-        for v in reversed(parts[:-1]):
-            value = Pair(v, value)
-        return value
+        return Unit() if self.at(")") else self.parse_tuple(self.parse_mvalue)
 
     def parse_mvalue(self) -> Value:
         if self.accept("*"):

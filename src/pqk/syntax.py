@@ -21,7 +21,6 @@ from .trees import (
     Lifted,
     LiftedLeaf,
     LiftedNode,
-    LiftingTree,
     Renaming,
     all_vars,
     map_leaves,
@@ -106,7 +105,7 @@ class CircType(PqkType):
     out: Lifted  # of M-types
 
     @property
-    def tree(self) -> LiftingTree:
+    def tree(self) -> Lifted:
         return self.out.tree()
 
     def __str__(self) -> str:

@@ -67,6 +67,10 @@ class Assignment:
         return Assignment(tuple(p for p in self.bindings if p[0] != var))
 
     def union(self, other: Assignment) -> Assignment:
+        if not other:
+            return self
+        if not self:
+            return other
         overlap = self.domain() & other.domain()
         if overlap:
             raise AssignmentClash(f"assignments overlap on {sorted(overlap)}")
@@ -77,6 +81,8 @@ class Assignment:
         return all(self.get(v) == b for v, b in other.bindings)
 
     def rename(self, pi: Renaming) -> Assignment:
+        if not pi:
+            return self
         return Assignment.of({pi(v): b for v, b in self.bindings})
 
     def __len__(self) -> int:
@@ -124,6 +130,10 @@ class Renaming:
     def __call__(self, name: str) -> str:
         return self._perm.get(name, name)
 
+    def __bool__(self) -> bool:
+        """False for the identity."""
+        return bool(self._perm)
+
     def inverse(self) -> Renaming:
         return Renaming({v: k for k, v in self._perm.items()})
 
@@ -135,6 +145,9 @@ class Renaming:
         return f"Renaming({inner})"
 
 
+IDENTITY = Renaming({})
+
+
 # ---------------------------------------------------------------------------
 # Lifted objects and lifting trees
 
@@ -143,12 +156,6 @@ class Lifted:
     """Lifting tree whose leaves carry payload values."""
 
     __slots__ = ()
-
-    def paths(self) -> list[Assignment]:
-        return path_set(self)
-
-    def lookup(self, a: Assignment) -> Any:
-        return lookup(self, a)
 
 
 @dataclass(frozen=True)
@@ -188,20 +195,16 @@ class LiftedNode(Lifted):
     __repr__ = __str__
 
 
-# A lifting tree is a lifted object whose payloads are None.
-LiftingTree = Lifted
+# Old names of the two classes, kept only because bench/workloads.py imports them.
 TreeLeaf = LiftedLeaf
 TreeNode = LiftedNode
+# A lifting tree is a lifted object whose payloads are None.
 EMPTY_TREE = LiftedLeaf(None)
 _NO_VARS: frozenset[str] = frozenset()
 
 
 def leaf(value: Any) -> LiftedLeaf:
     return LiftedLeaf(value)
-
-
-def node(var: str, zero: Lifted, one: Lifted) -> LiftedNode:
-    return LiftedNode(var, zero, one)
 
 
 def all_vars(t: Lifted) -> frozenset[str]:
@@ -388,10 +391,11 @@ def rename_lifted(obj: Lifted, pi: Renaming) -> Lifted:
 # Composition, flattening, grafting
 
 
+# No caller in pqk: kept only because bench/tracing.py traces it.
 def compose(obj: Lifted, family: Mapping[Assignment, Any], index: Iterable[Assignment]) -> Lifted:
     """Overwrite the leaves at the paths in index with the family's values."""
     index = set(index)
-    valid = set(obj.paths())
+    valid = set(path_set(obj))
     for a in index:
         if a not in valid:
             raise InvalidBranch(f"{a} is not a path of {obj.tree()}")

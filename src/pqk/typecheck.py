@@ -69,10 +69,8 @@ from .syntax import (
 from .trees import (
     Assignment,
     EMPTY_ASSIGNMENT,
-    EMPTY_TREE,
     Lifted,
     LiftedLeaf,
-    LiftingTree,
     Renaming,
     all_vars,
     const,
@@ -131,8 +129,12 @@ EMPTY_TYPING_CONTEXT = TypingContext()
 
 @dataclass(frozen=True)
 class ComputationTyping:
-    tree: LiftingTree
     type: Lifted  # of PqkType
+
+    @property
+    def tree(self) -> Lifted:
+        """The computation's lifting tree: the shape of its lifted type."""
+        return self.type.tree()
 
     def __str__(self) -> str:
         from .syntax import format_lifted_type
@@ -245,7 +247,7 @@ class Checker:
     def check_term(self, ctx: TypingContext, m: Term) -> tuple[ComputationTyping, TypingContext]:
         if isinstance(m, Return):
             ty, leftover = self.check_value(ctx, m.value)
-            return ComputationTyping(EMPTY_TREE, leaf(ty)), leftover
+            return ComputationTyping(leaf(ty)), leftover
         if isinstance(m, App):
             fn_ty, ctx1 = self.check_value(ctx, m.fn)
             if not isinstance(fn_ty, ArrowType):
@@ -258,7 +260,7 @@ class Checker:
                     f"argument has type {arg_ty}, function expects {fn_ty.dom}",
                     rule="app", span=m.span,
                 )
-            return ComputationTyping(fn_ty.cod.tree(), fn_ty.cod), ctx2
+            return ComputationTyping(fn_ty.cod), ctx2
         if isinstance(m, Let):
             bound, ctx1 = self.check_term(ctx, m.bound)
             if m.branches.tree() != bound.tree:
@@ -290,7 +292,7 @@ class Checker:
                 out_type = flatten_family(bound.type, branch_types)
             except VariableClash as exc:
                 raise TypeCheckError(KIND_FLATTEN_CLASH, str(exc), rule="let", span=m.span) from exc
-            return ComputationTyping(out_type.tree(), out_type), residue
+            return ComputationTyping(out_type), residue
         if isinstance(m, LetPair):
             pair_ty, ctx1 = self.check_value(ctx, m.value)
             if not isinstance(pair_ty, TensorType):
@@ -312,7 +314,7 @@ class Checker:
             if not isinstance(ty, BangType):
                 raise TypeCheckError(KIND_TYPE_MISMATCH, f"forced value has type {ty}, not a !-type",
                                      rule="force", span=m.span)
-            return ComputationTyping(ty.inner.tree(), ty.inner), ctx1
+            return ComputationTyping(ty.inner), ctx1
         if isinstance(m, Box):
             ty, ctx1 = self.check_value(ctx, m.value)
             shape_err = TypeCheckError(
@@ -338,7 +340,7 @@ class Checker:
                         "boxed function must return label tuples on every branch",
                         rule="box", branch=p, span=m.span,
                     )
-            return ComputationTyping(EMPTY_TREE, leaf(CircType(m.mtype, arrow.cod))), ctx1
+            return ComputationTyping(leaf(CircType(m.mtype, arrow.cod))), ctx1
         if isinstance(m, Apply):
             circ_ty, ctx1 = self.check_value(ctx, m.boxed)
             if not isinstance(circ_ty, CircType):
@@ -364,7 +366,7 @@ class Checker:
                     rule="apply", span=m.span,
                 )
             out_type = rename_lifted(circ_ty.out, Renaming(dict(zip(binders, m.vars))))
-            return ComputationTyping(out_type.tree(), out_type), ctx2
+            return ComputationTyping(out_type), ctx2
         raise TypeCheckError(KIND_TYPE_MISMATCH, f"not a term: {m!r}", rule="?")
 
     # -- helpers
@@ -388,7 +390,7 @@ class Checker:
         self,
         ctx: TypingContext,
         mu: Lifted,
-        expected_tree: LiftingTree | None = None,
+        expected_tree: Lifted | None = None,
     ) -> tuple[Lifted, TypingContext]:
         """Branchwise computation typing with constant non-lifted components.
 
@@ -428,7 +430,7 @@ def type_term(ctx: TypingContext, m: Term, gateset: GateSet = DEFAULT_GATES):
     return Checker(gateset).check_term(ctx, m)
 
 
-def type_lifted_term(ctx: TypingContext, mu: Lifted, expected_tree: LiftingTree | None = None,
+def type_lifted_term(ctx: TypingContext, mu: Lifted, expected_tree: Lifted | None = None,
                      gateset: GateSet = DEFAULT_GATES):
     return Checker(gateset).check_lifted_term(ctx, mu, expected_tree)
 
@@ -491,8 +493,8 @@ def typecheck_left_config(
     term: Term,
     *,
     input_ctx: LabelContext,
-    past_tree: LiftingTree,
-    future_tree: LiftingTree,
+    past_tree: Lifted,
+    future_tree: Lifted,
     ty: Lifted,
     outputs: Lifted,
     gateset: GateSet = DEFAULT_GATES,
@@ -548,8 +550,8 @@ def typecheck_right_config(
     value: Lifted,
     *,
     input_ctx: LabelContext,
-    overall_tree: LiftingTree,
-    future_tree: LiftingTree,
+    overall_tree: Lifted,
+    future_tree: Lifted,
     branch: Assignment,
     ty: Lifted,
     outputs: Lifted,

@@ -11,11 +11,9 @@ from pqk.circuit import (
     GateApp,
     LabelContext,
     LiftInstr,
-    MLabel,
-    MPair,
-    M_STAR,
     check_signature,
 )
+from pqk.syntax import LabelVal, Pair, Unit
 from pqk.trees import lookup, var_set
 
 from oracles import assignment_set, extending_paths
@@ -57,22 +55,22 @@ def random_circuit(rng: random.Random, steps: int = 8, max_inputs: int = 3) -> C
             move = rng.choice(moves)
             if move == "1q":
                 g = rng.choice(["H", "X", "Z"])
-                c = c.extended(GateApp(cond, g, MLabel(rng.choice(qubits)), MLabel(fresh_label())))
+                c = c.extended(GateApp(cond, g, LabelVal(rng.choice(qubits)), LabelVal(fresh_label())))
             elif move == "2q":
                 a, b = rng.sample(qubits, 2)
-                c = c.extended(GateApp(cond, "CNOT", MPair(MLabel(a), MLabel(b)),
-                                       MPair(MLabel(fresh_label()), MLabel(fresh_label()))))
+                c = c.extended(GateApp(cond, "CNOT", Pair(LabelVal(a), LabelVal(b)),
+                                       Pair(LabelVal(fresh_label()), LabelVal(fresh_label()))))
             elif move == "meas":
-                c = c.extended(GateApp(cond, "Meas", MLabel(rng.choice(qubits)), MLabel(fresh_label())))
+                c = c.extended(GateApp(cond, "Meas", LabelVal(rng.choice(qubits)), LabelVal(fresh_label())))
             elif move == "meas2":
                 a, b = rng.sample(qubits, 2)
-                c = c.extended(GateApp(cond, "Meas2", MPair(MLabel(a), MLabel(b)),
-                                       MPair(MLabel(fresh_label()), MLabel(fresh_label()))))
+                c = c.extended(GateApp(cond, "Meas2", Pair(LabelVal(a), LabelVal(b)),
+                                       Pair(LabelVal(fresh_label()), LabelVal(fresh_label()))))
             elif move == "discard":
-                c = c.extended(GateApp(cond, "Discard", MLabel(rng.choice(bits)), M_STAR))
+                c = c.extended(GateApp(cond, "Discard", LabelVal(rng.choice(bits)), Unit()))
             elif move == "init":
                 g = rng.choice(["Init0", "Init1"])
-                c = c.extended(GateApp(cond, g, M_STAR, MLabel(fresh_label())))
+                c = c.extended(GateApp(cond, g, Unit(), LabelVal(fresh_label())))
             else:
                 live = var_set(sig.tree, cond)
                 var_counter[0] += 1

@@ -24,9 +24,7 @@ from pqk.trees import (
     Lifted,
     LiftedLeaf,
     LiftedNode,
-    LiftingTree,
     Sub,
-    TreeNode,
     all_vars,
     is_consistent,
     path_set,
@@ -80,7 +78,7 @@ def flatten_map(obj: Lifted):
     return out
 
 
-def graft_map(t: LiftingTree, a: Assignment, r: LiftingTree):
+def graft_map(t: Lifted, a: Assignment, r: Lifted):
     """Path set of t graft_a r computed on paths alone."""
     out = set()
     for p in path_set(t):
@@ -97,12 +95,12 @@ def graft_map(t: LiftingTree, a: Assignment, r: LiftingTree):
 # Random instance generators
 
 
-def random_tree(rng: random.Random, pool: list[str], max_depth: int) -> LiftingTree:
+def random_tree(rng: random.Random, pool: list[str], max_depth: int) -> Lifted:
     if max_depth == 0 or not pool or rng.random() < 0.35:
         return EMPTY_TREE
     var = rng.choice(pool)
     rest = [v for v in pool if v != var]
-    return TreeNode(var, random_tree(rng, rest, max_depth - 1), random_tree(rng, rest, max_depth - 1))
+    return LiftedNode(var, random_tree(rng, rest, max_depth - 1), random_tree(rng, rest, max_depth - 1))
 
 
 def random_lifted(rng: random.Random, pool: list[str], max_depth: int, payload) -> Lifted:

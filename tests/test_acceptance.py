@@ -16,8 +16,7 @@ import time
 import numpy as np
 import pytest
 
-from pqk.circuit import boxed_equiv, check_signature, rename_labels_circuit, \
-    rename_labels_signature, rename_lifted_circuit, rename_lifted_signature
+from pqk.circuit import boxed_equiv, check_signature, rename_circuit, rename_signature
 from pqk.errors import VariableClash
 from pqk.fuzz import GenConfig, check_progress, check_sr, count_lifting_applies, gen_corpus
 from pqk.interp import Done, Stuck, run_closed
@@ -29,8 +28,8 @@ from pqk.trees import (
     EMPTY_ASSIGNMENT,
     EMPTY_TREE,
     Renaming,
+    LiftedNode,
     Sub,
-    TreeNode,
     compose,
     flatten,
     graft,
@@ -136,8 +135,8 @@ class TestAcceptance:
             (u = 1; s = 1) ? Z(b1) -> b3;
         """)
         sig = check_signature(circuit)
-        s_node = TreeNode("s", EMPTY_TREE, EMPTY_TREE)
-        assert sig.tree == TreeNode("u", s_node, s_node)
+        s_node = LiftedNode("s", EMPTY_TREE, EMPTY_TREE)
+        assert sig.tree == LiftedNode("u", s_node, s_node)
         from pqk.circuit import LabelContext, QUBIT
 
         assert lookup(sig.outputs, a(u=0, s=0)) == LabelContext.of({"b0": QUBIT})
@@ -153,7 +152,7 @@ class TestAcceptance:
 
         for _ in range(1000):  # compose
             obj = random_lifted(rng, pool, 4, lambda r: r.randrange(100))
-            ps = obj.paths()
+            ps = path_set(obj)
             assert len(ps) <= 16
             index = [p for p in ps if rng.random() < 0.5]
             family = {p: rng.randrange(1000) for p in index}
@@ -166,7 +165,7 @@ class TestAcceptance:
         while done < 1000:
             obj = random_lifted(rng, pool, 3, lambda r: r.randrange(100))
             family = {}
-            for p in obj.paths():
+            for p in path_set(obj):
                 if rng.random() < 0.6:
                     family[p] = random_lifted(rng, ["z1", "z2"] + pool[:2], 2,
                                               lambda r: r.randrange(100))
@@ -241,10 +240,10 @@ class TestAcceptance:
         for i in range(200):
             c = random_circuit(rng, steps=8)
             sig = check_signature(c)
-            relabeled = check_signature(rename_labels_circuit(c, rho))
-            assert relabeled == rename_labels_signature(sig, rho), f"label renaming {i}"
-            revared = check_signature(rename_lifted_circuit(c, pi))
-            assert revared == rename_lifted_signature(sig, pi), f"lifted renaming {i}"
+            relabeled = check_signature(rename_circuit(c, rho))
+            assert relabeled == rename_signature(sig, rho), f"label renaming {i}"
+            revared = check_signature(rename_circuit(c, pi=pi))
+            assert revared == rename_signature(sig, pi=pi), f"lifted renaming {i}"
         report(7, "signatures commute with label and lifted-variable renamings (200 circuits)", started)
 
     def test_8_simulator(self):

@@ -22,16 +22,14 @@ from pqk.circuit import (
     GateApp,
     LabelContext,
     LiftInstr,
-    MLabel,
-    M_STAR,
     append,
     check_signature,
 )
 from pqk.errors import WrongWireType
 from pqk.interp import Done, EvalEnv, LeftConfig, Stuck, eval_config, run_closed
 from pqk.parser import parse_program
-from pqk.syntax import Apply, Boxed, LabelVal
-from pqk.trees import EMPTY_ASSIGNMENT, leaf, lookup, node, path_set, var_set
+from pqk.syntax import Apply, Boxed, LabelVal, Unit
+from pqk.trees import EMPTY_ASSIGNMENT, LiftedNode, leaf, lookup, path_set, var_set
 from pqk.typecheck import check_closed_term
 
 from circuit_gen import random_circuit
@@ -44,20 +42,20 @@ def ctx(**kw):
 
 
 def hadamard_box() -> BoxedCircuit:
-    c = Circuit(ctx(l=QUBIT), (GateApp(E, "H", MLabel("l"), MLabel("l2")),))
-    return BoxedCircuit(MLabel("l"), c, leaf(MLabel("l2")))
+    c = Circuit(ctx(l=QUBIT), (GateApp(E, "H", LabelVal("l"), LabelVal("l2")),))
+    return BoxedCircuit(LabelVal("l"), c, leaf(LabelVal("l2")))
 
 
 def meas_lift_box() -> BoxedCircuit:
     c = Circuit(
         ctx(l=QUBIT),
-        (GateApp(E, "Meas", MLabel("l"), MLabel("b")), LiftInstr(E, "b", "u")),
+        (GateApp(E, "Meas", LabelVal("l"), LabelVal("b")), LiftInstr(E, "b", "u")),
     )
-    return BoxedCircuit(MLabel("l"), c, node("u", leaf(M_STAR), leaf(M_STAR)))
+    return BoxedCircuit(LabelVal("l"), c, LiftedNode("u", leaf(Unit()), leaf(Unit())))
 
 
 def identity_box() -> BoxedCircuit:
-    return BoxedCircuit(MLabel("l"), Circuit(ctx(l=QUBIT)), leaf(MLabel("l")))
+    return BoxedCircuit(LabelVal("l"), Circuit(ctx(l=QUBIT)), leaf(LabelVal("l")))
 
 
 @pytest.fixture
@@ -94,7 +92,7 @@ class TestCarriedEqualsFresh:
                 box = rng.choice(boxes)
                 live = var_set(sig.tree, branch)
                 fresh = [v for v in (f"ap{k}", f"aq{k}") if v not in live][: len(box.binder_order())]
-                c, _ = append(c, branch, MLabel(target), box, fresh)
+                c, _ = append(c, branch, LabelVal(target), box, fresh)
 
                 before = extended_instrs[0]
                 carried = check_signature(c)
@@ -143,14 +141,14 @@ class TestAppendChecksItsBody:
         # H on a Bit wire: the body has no signature
         body = Circuit(
             ctx(l=QUBIT),
-            (GateApp(E, "Meas", MLabel("l"), MLabel("b")),
-             GateApp(E, "H", MLabel("b"), MLabel("c"))),
+            (GateApp(E, "Meas", LabelVal("l"), LabelVal("b")),
+             GateApp(E, "H", LabelVal("b"), LabelVal("c"))),
         )
-        return BoxedCircuit(MLabel("l"), body, leaf(MLabel("c")))
+        return BoxedCircuit(LabelVal("l"), body, leaf(LabelVal("c")))
 
     def test_append_raises_at_the_append(self):
         with pytest.raises(WrongWireType):
-            append(Circuit(ctx(q=QUBIT, k=BIT)), E, MLabel("q"), self.bad_box(), [])
+            append(Circuit(ctx(q=QUBIT, k=BIT)), E, LabelVal("q"), self.bad_box(), [])
 
     def test_evaluation_is_stuck_at_the_apply(self):
         start = Circuit(ctx(q=QUBIT))

@@ -14,13 +14,6 @@ from pqk.circuit import (
     GateApp,
     LabelContext,
     LiftInstr,
-    M_BIT,
-    M_QUBIT,
-    M_STAR,
-    M_UNIT,
-    MLabel,
-    MPair,
-    MTensor,
     append,
     boxed_equiv,
     check_signature,
@@ -31,11 +24,9 @@ from pqk.circuit import (
     insert,
     mtuple,
     mvalue_labels,
-    rename_labels_boxed,
-    rename_labels_circuit,
-    rename_labels_signature,
-    rename_lifted_circuit,
-    rename_lifted_signature,
+    rename_boxed,
+    rename_circuit,
+    rename_signature,
     type_mvalue,
 )
 from pqk.errors import (
@@ -50,15 +41,15 @@ from pqk.errors import (
     UnknownGate,
     WrongWireType,
 )
+from pqk.syntax import BIT_TYPE, QUBIT_TYPE, UNIT_TYPE, LabelVal, Pair, TensorType, Unit
 from pqk.trees import (
     EMPTY_ASSIGNMENT,
     EMPTY_TREE,
     Assignment,
+    LiftedNode,
     Renaming,
-    TreeNode,
     leaf,
     lookup,
-    node,
     rename_lifted,
 )
 
@@ -75,42 +66,42 @@ def ctx(**kw):
 
 class TestTypeMValue:
     def test_unit(self):
-        assert type_mvalue(EMPTY_CONTEXT, M_STAR) == M_UNIT
+        assert type_mvalue(EMPTY_CONTEXT, Unit()) == UNIT_TYPE
 
     def test_label(self):
-        assert type_mvalue(ctx(l=QUBIT), MLabel("l")) == M_QUBIT
+        assert type_mvalue(ctx(l=QUBIT), LabelVal("l")) == QUBIT_TYPE
 
     def test_pair(self):
         q = ctx(l=QUBIT, k=BIT)
-        assert type_mvalue(q, MPair(MLabel("l"), MLabel("k"))) == MTensor(M_QUBIT, M_BIT)
+        assert type_mvalue(q, Pair(LabelVal("l"), LabelVal("k"))) == TensorType(QUBIT_TYPE, BIT_TYPE)
 
     def test_unbound(self):
         with pytest.raises(UnboundLabel):
-            type_mvalue(EMPTY_CONTEXT, MLabel("l"))
+            type_mvalue(EMPTY_CONTEXT, LabelVal("l"))
 
     def test_duplicate(self):
         with pytest.raises(DuplicateLabel):
-            type_mvalue(ctx(l=QUBIT), MPair(MLabel("l"), MLabel("l")))
+            type_mvalue(ctx(l=QUBIT), Pair(LabelVal("l"), LabelVal("l")))
 
     def test_leftover(self):
         with pytest.raises(LeftoverLabel):
-            type_mvalue(ctx(l=QUBIT, k=BIT), MLabel("l"))
+            type_mvalue(ctx(l=QUBIT, k=BIT), LabelVal("l"))
 
 
 def teleportation_dl() -> Circuit:
     return Circuit(
         LabelContext.of({"b0": QUBIT, "q0": QUBIT, "a0": QUBIT}),
         (
-            GateApp(EMPTY_ASSIGNMENT, "CNOT", MPair(MLabel("q0"), MLabel("a0")),
-                    MPair(MLabel("q1"), MLabel("a1"))),
-            GateApp(EMPTY_ASSIGNMENT, "H", MLabel("q1"), MLabel("q2")),
-            GateApp(EMPTY_ASSIGNMENT, "Meas2", MPair(MLabel("q2"), MLabel("a1")),
-                    MPair(MLabel("x"), MLabel("y"))),
+            GateApp(EMPTY_ASSIGNMENT, "CNOT", Pair(LabelVal("q0"), LabelVal("a0")),
+                    Pair(LabelVal("q1"), LabelVal("a1"))),
+            GateApp(EMPTY_ASSIGNMENT, "H", LabelVal("q1"), LabelVal("q2")),
+            GateApp(EMPTY_ASSIGNMENT, "Meas2", Pair(LabelVal("q2"), LabelVal("a1")),
+                    Pair(LabelVal("x"), LabelVal("y"))),
             LiftInstr(EMPTY_ASSIGNMENT, "x", "u"),
             LiftInstr(EMPTY_ASSIGNMENT, "y", "s"),
-            GateApp(a(s=1), "X", MLabel("b0"), MLabel("b1")),
-            GateApp(a(u=1, s=0), "Z", MLabel("b0"), MLabel("b2")),
-            GateApp(a(u=1, s=1), "Z", MLabel("b1"), MLabel("b3")),
+            GateApp(a(s=1), "X", LabelVal("b0"), LabelVal("b1")),
+            GateApp(a(u=1, s=0), "Z", LabelVal("b0"), LabelVal("b2")),
+            GateApp(a(u=1, s=1), "Z", LabelVal("b1"), LabelVal("b3")),
         ),
     )
 
@@ -125,30 +116,30 @@ class TestCheckSignature:
 
     def test_teleportation_dl_golden(self):
         sig = check_signature(teleportation_dl())
-        s_node = TreeNode("s", EMPTY_TREE, EMPTY_TREE)
-        assert sig.tree == TreeNode("u", s_node, s_node)
+        s_node = LiftedNode("s", EMPTY_TREE, EMPTY_TREE)
+        assert sig.tree == LiftedNode("u", s_node, s_node)
         assert lookup(sig.outputs, a(u=0, s=0)) == ctx(b0=QUBIT)
         assert lookup(sig.outputs, a(u=0, s=1)) == ctx(b1=QUBIT)
         assert lookup(sig.outputs, a(u=1, s=0)) == ctx(b2=QUBIT)
         assert lookup(sig.outputs, a(u=1, s=1)) == ctx(b3=QUBIT)
 
     def test_condition_on_unknown_var(self):
-        c = Circuit(ctx(q=QUBIT), (GateApp(a(u=1), "H", MLabel("q"), MLabel("q1")),))
+        c = Circuit(ctx(q=QUBIT), (GateApp(a(u=1), "H", LabelVal("q"), LabelVal("q1")),))
         with pytest.raises(InvalidBranch):
             check_signature(c)
 
     def test_unknown_gate(self):
-        c = Circuit(ctx(q=QUBIT), (GateApp(EMPTY_ASSIGNMENT, "Toffoli", MLabel("q"), MLabel("r")),))
+        c = Circuit(ctx(q=QUBIT), (GateApp(EMPTY_ASSIGNMENT, "Toffoli", LabelVal("q"), LabelVal("r")),))
         with pytest.raises(UnknownGate):
             check_signature(c)
 
     def test_non_fresh_output(self):
-        c = Circuit(ctx(q=QUBIT), (GateApp(EMPTY_ASSIGNMENT, "H", MLabel("q"), MLabel("q")),))
+        c = Circuit(ctx(q=QUBIT), (GateApp(EMPTY_ASSIGNMENT, "H", LabelVal("q"), LabelVal("q")),))
         with pytest.raises(NonFreshOutput):
             check_signature(c)
 
     def test_wrong_wire_type(self):
-        c = Circuit(ctx(b=BIT), (GateApp(EMPTY_ASSIGNMENT, "H", MLabel("b"), MLabel("b1")),))
+        c = Circuit(ctx(b=BIT), (GateApp(EMPTY_ASSIGNMENT, "H", LabelVal("b"), LabelVal("b1")),))
         with pytest.raises(WrongWireType):
             check_signature(c)
 
@@ -168,8 +159,8 @@ class TestCheckSignature:
     def test_gate_on_consumed_label(self):
         c = Circuit(
             ctx(q=QUBIT),
-            (GateApp(EMPTY_ASSIGNMENT, "Meas", MLabel("q"), MLabel("b")),
-             GateApp(EMPTY_ASSIGNMENT, "H", MLabel("q"), MLabel("q1"))),
+            (GateApp(EMPTY_ASSIGNMENT, "Meas", LabelVal("q"), LabelVal("b")),
+             GateApp(EMPTY_ASSIGNMENT, "H", LabelVal("q"), LabelVal("q1"))),
         )
         with pytest.raises(UnboundLabel):
             check_signature(c)
@@ -178,7 +169,7 @@ class TestCheckSignature:
         c = Circuit(
             ctx(b=BIT, q=QUBIT),
             (LiftInstr(EMPTY_ASSIGNMENT, "b", "u"),
-             GateApp(a(u=1), "Meas", MLabel("q"), MLabel("m"))),
+             GateApp(a(u=1), "Meas", LabelVal("q"), LabelVal("m"))),
         )
         sig = check_signature(c)
         assert lookup(sig.outputs, a(u=0)) == ctx(q=QUBIT)
@@ -192,8 +183,8 @@ class TestRenameCommutes:
         for _ in range(40):
             c = random_circuit(rng)
             sig = check_signature(c)
-            lhs = check_signature(rename_labels_circuit(c, rho))
-            assert lhs == rename_labels_signature(sig, rho)
+            lhs = check_signature(rename_circuit(c, rho))
+            assert lhs == rename_signature(sig, rho)
 
     def test_lifted_renaming_commutes_with_signature(self):
         rng = random.Random(43)
@@ -201,26 +192,26 @@ class TestRenameCommutes:
         for _ in range(40):
             c = random_circuit(rng)
             sig = check_signature(c)
-            lhs = check_signature(rename_lifted_circuit(c, pi))
-            assert lhs == rename_lifted_signature(sig, pi)
+            lhs = check_signature(rename_circuit(c, pi=pi))
+            assert lhs == rename_signature(sig, pi=pi)
 
 
 def hadamard_box() -> BoxedCircuit:
-    c = Circuit(ctx(l=QUBIT), (GateApp(EMPTY_ASSIGNMENT, "H", MLabel("l"), MLabel("l2")),))
-    return BoxedCircuit(MLabel("l"), c, leaf(MLabel("l2")))
+    c = Circuit(ctx(l=QUBIT), (GateApp(EMPTY_ASSIGNMENT, "H", LabelVal("l"), LabelVal("l2")),))
+    return BoxedCircuit(LabelVal("l"), c, leaf(LabelVal("l2")))
 
 
 def meas_lift_box() -> BoxedCircuit:
     c = Circuit(
         ctx(l=QUBIT),
-        (GateApp(EMPTY_ASSIGNMENT, "Meas", MLabel("l"), MLabel("l2")),
+        (GateApp(EMPTY_ASSIGNMENT, "Meas", LabelVal("l"), LabelVal("l2")),
          LiftInstr(EMPTY_ASSIGNMENT, "l2", "u")),
     )
-    return BoxedCircuit(MLabel("l"), c, node("u", leaf(M_STAR), leaf(M_STAR)))
+    return BoxedCircuit(LabelVal("l"), c, LiftedNode("u", leaf(Unit()), leaf(Unit())))
 
 
 def identity_box() -> BoxedCircuit:
-    return BoxedCircuit(MLabel("l"), Circuit(ctx(l=QUBIT)), leaf(MLabel("l")))
+    return BoxedCircuit(LabelVal("l"), Circuit(ctx(l=QUBIT)), leaf(LabelVal("l")))
 
 
 class TestBoxedEquiv:
@@ -230,14 +221,14 @@ class TestBoxedEquiv:
 
     def test_identity_boxes_with_different_labels(self):
         b1 = identity_box()
-        b2 = rename_labels_boxed(b1, Renaming({"l": "k"}))
+        b2 = rename_boxed(b1, Renaming({"l": "k"}))
         assert boxed_equiv(b1, b2)
 
     def test_lifted_variable_alpha(self):
         b1 = meas_lift_box()
         b2 = BoxedCircuit(
             b1.in_tuple,
-            rename_lifted_circuit(b1.circuit, Renaming({"u": "w"})),
+            rename_circuit(b1.circuit, pi=Renaming({"u": "w"})),
             rename_lifted(b1.out_tuples, Renaming({"u": "w"})),
         )
         assert boxed_equiv(b1, b2)
@@ -245,23 +236,23 @@ class TestBoxedEquiv:
     def test_gate_order_matters(self):
         q = ctx(l=QUBIT, k=QUBIT)
         c1 = Circuit(q, (
-            GateApp(EMPTY_ASSIGNMENT, "H", MLabel("l"), MLabel("l2")),
-            GateApp(EMPTY_ASSIGNMENT, "X", MLabel("k"), MLabel("k2")),
+            GateApp(EMPTY_ASSIGNMENT, "H", LabelVal("l"), LabelVal("l2")),
+            GateApp(EMPTY_ASSIGNMENT, "X", LabelVal("k"), LabelVal("k2")),
         ))
         c2 = Circuit(q, (
-            GateApp(EMPTY_ASSIGNMENT, "X", MLabel("k"), MLabel("k2")),
-            GateApp(EMPTY_ASSIGNMENT, "H", MLabel("l"), MLabel("l2")),
+            GateApp(EMPTY_ASSIGNMENT, "X", LabelVal("k"), LabelVal("k2")),
+            GateApp(EMPTY_ASSIGNMENT, "H", LabelVal("l"), LabelVal("l2")),
         ))
-        pair = MPair(MLabel("l"), MLabel("k"))
-        out = MPair(MLabel("l2"), MLabel("k2"))
+        pair = Pair(LabelVal("l"), LabelVal("k"))
+        out = Pair(LabelVal("l2"), LabelVal("k2"))
         b1 = BoxedCircuit(pair, c1, leaf(out))
         b2 = BoxedCircuit(pair, c2, leaf(out))
         assert not boxed_equiv(b1, b2)
 
     def test_equivalence_is_symmetric_transitive(self):
         b = hadamard_box()
-        b2 = rename_labels_boxed(b, Renaming({"l": "x", "l2": "y"}))
-        b3 = rename_labels_boxed(b2, Renaming({"x": "p", "y": "q"}))
+        b2 = rename_boxed(b, Renaming({"l": "x", "l2": "y"}))
+        b3 = rename_boxed(b2, Renaming({"x": "p", "y": "q"}))
         assert boxed_equiv(b2, b)
         assert boxed_equiv(b, b3)
 
@@ -272,17 +263,17 @@ class TestInsert:
         assert insert(c, EMPTY_ASSIGNMENT, Circuit(ctx(z=QUBIT))) == c
 
     def test_insert_empty_on_empty(self):
-        d = Circuit(EMPTY_CONTEXT, (GateApp(EMPTY_ASSIGNMENT, "Init0", M_STAR, MLabel("q")),))
+        d = Circuit(EMPTY_CONTEXT, (GateApp(EMPTY_ASSIGNMENT, "Init0", Unit(), LabelVal("q")),))
         got = insert(Circuit(EMPTY_CONTEXT), EMPTY_ASSIGNMENT, d)
         assert got.instructions == d.instructions
 
     def test_conditions_compose(self):
-        d = Circuit(ctx(q=QUBIT), (GateApp(a(s=1), "H", MLabel("q"), MLabel("q1")),))
+        d = Circuit(ctx(q=QUBIT), (GateApp(a(s=1), "H", LabelVal("q"), LabelVal("q1")),))
         got = insert(Circuit(ctx(q=QUBIT)), a(u=0), d)
         assert got.instructions[0].cond == a(u=0, s=1)
 
     def test_overlapping_condition_rejected(self):
-        d = Circuit(ctx(q=QUBIT), (GateApp(a(u=1), "H", MLabel("q"), MLabel("q1")),))
+        d = Circuit(ctx(q=QUBIT), (GateApp(a(u=1), "H", LabelVal("q"), LabelVal("q1")),))
         with pytest.raises(AssignmentClash):
             insert(Circuit(ctx(q=QUBIT)), a(u=0), d)
 
@@ -290,21 +281,21 @@ class TestInsert:
 class TestAppend:
     def test_identity_box_is_noop(self):
         c = Circuit(ctx(k=QUBIT))
-        got, out = append(c, EMPTY_ASSIGNMENT, MLabel("k"), identity_box(), [])
+        got, out = append(c, EMPTY_ASSIGNMENT, LabelVal("k"), identity_box(), [])
         assert got == c
-        assert out == leaf(MLabel("k"))
+        assert out == leaf(LabelVal("k"))
 
     def test_meas_lift_example(self):
         # measuring a target qubit then lifting: gains Meas and lift instructions
         c = Circuit(ctx(l=QUBIT, k=QUBIT))
-        got, out = append(c, EMPTY_ASSIGNMENT, MLabel("l"), meas_lift_box(), ["u"])
+        got, out = append(c, EMPTY_ASSIGNMENT, LabelVal("l"), meas_lift_box(), ["u"])
         assert len(got.instructions) == 2
         meas, lift = got.instructions
-        assert meas == GateApp(EMPTY_ASSIGNMENT, "Meas", MLabel("l"), MLabel("%0"))
+        assert meas == GateApp(EMPTY_ASSIGNMENT, "Meas", LabelVal("l"), LabelVal("%0"))
         assert lift == LiftInstr(EMPTY_ASSIGNMENT, "%0", "u")
-        assert out == node("u", leaf(M_STAR), leaf(M_STAR))
+        assert out == LiftedNode("u", leaf(Unit()), leaf(Unit()))
         sig = check_signature(got)
-        assert sig.tree == TreeNode("u", EMPTY_TREE, EMPTY_TREE)
+        assert sig.tree == LiftedNode("u", EMPTY_TREE, EMPTY_TREE)
         assert lookup(sig.outputs, a(u=0)) == ctx(k=QUBIT)
 
     def test_append_on_branch(self):
@@ -312,31 +303,31 @@ class TestAppend:
             ctx(b=BIT, q=QUBIT),
             (LiftInstr(EMPTY_ASSIGNMENT, "b", "u"),),
         )
-        got, out = append(c, a(u=1), MLabel("q"), hadamard_box(), [])
-        assert got.instructions[-1] == GateApp(a(u=1), "H", MLabel("q"), MLabel("%0"))
-        assert out == leaf(MLabel("%0"))
+        got, out = append(c, a(u=1), LabelVal("q"), hadamard_box(), [])
+        assert got.instructions[-1] == GateApp(a(u=1), "H", LabelVal("q"), LabelVal("%0"))
+        assert out == leaf(LabelVal("%0"))
 
     def test_append_fresh_var_collision_rejected(self):
         c = Circuit(ctx(b=BIT, q=QUBIT), (LiftInstr(EMPTY_ASSIGNMENT, "b", "u"),))
         with pytest.raises(PreconditionViolated):
-            append(c, a(u=1), MLabel("q"), meas_lift_box(), ["u"])
+            append(c, a(u=1), LabelVal("q"), meas_lift_box(), ["u"])
 
     def test_append_nonpath_branch_rejected(self):
         c = Circuit(ctx(q=QUBIT))
         with pytest.raises(PreconditionViolated):
-            append(c, a(u=1), MLabel("q"), hadamard_box(), [])
+            append(c, a(u=1), LabelVal("q"), hadamard_box(), [])
 
     def test_append_missing_target_rejected(self):
         c = Circuit(ctx(q=QUBIT))
         with pytest.raises(PreconditionViolated):
-            append(c, EMPTY_ASSIGNMENT, MLabel("z"), hadamard_box(), [])
+            append(c, EMPTY_ASSIGNMENT, LabelVal("z"), hadamard_box(), [])
 
     def test_insertion_signature_property(self):
         # appending preserves signature-checkability and grafts the tree at the branch
         c = Circuit(ctx(b=BIT, q=QUBIT), (LiftInstr(EMPTY_ASSIGNMENT, "b", "w"),))
-        got, out = append(c, a(w=0), MLabel("q"), meas_lift_box(), ["u"])
+        got, out = append(c, a(w=0), LabelVal("q"), meas_lift_box(), ["u"])
         sig = check_signature(got)
-        assert sig.tree == TreeNode("w", TreeNode("u", EMPTY_TREE, EMPTY_TREE), EMPTY_TREE)
+        assert sig.tree == LiftedNode("w", LiftedNode("u", EMPTY_TREE, EMPTY_TREE), EMPTY_TREE)
         assert lookup(sig.outputs, a(w=0, u=0)) == EMPTY_CONTEXT
         assert lookup(sig.outputs, a(w=1)) == ctx(q=QUBIT)
 
@@ -379,9 +370,9 @@ class TestSerialization:
 
 class TestMTuple:
     def test_shapes(self):
-        assert mtuple([]) == M_STAR
-        assert mtuple(["a"]) == MLabel("a")
-        assert mtuple(["a", "b", "c"]) == MPair(MLabel("a"), MPair(MLabel("b"), MLabel("c")))
+        assert mtuple([]) == Unit()
+        assert mtuple(["a"]) == LabelVal("a")
+        assert mtuple(["a", "b", "c"]) == Pair(LabelVal("a"), Pair(LabelVal("b"), LabelVal("c")))
 
 
 class TestCanonicalForm:
@@ -415,7 +406,7 @@ class TestAppendSignatureProperty:
             qubits = [n for n, w in ctx_at.entries if w is QUBIT]
             if not qubits:
                 continue
-            target = MLabel(rng.choice(qubits))
+            target = LabelVal(rng.choice(qubits))
             name, box = rng.choice(sorted(boxes.items()))
             n_vars = len(box.binder_order())
             fresh = []
@@ -461,8 +452,8 @@ class TestCrossBranchConsumption:
         c = Circuit(
             ctx(b=BIT, q=QUBIT),
             (LiftInstr(EMPTY_ASSIGNMENT, "b", "u"),
-             GateApp(a(u=1), "Meas", MLabel("q"), MLabel("m")),
-             GateApp(EMPTY_ASSIGNMENT, "H", MLabel("q"), MLabel("q2"))),
+             GateApp(a(u=1), "Meas", LabelVal("q"), LabelVal("m")),
+             GateApp(EMPTY_ASSIGNMENT, "H", LabelVal("q"), LabelVal("q2"))),
         )
         with pytest.raises(UnboundLabel):
             check_signature(c)
@@ -471,8 +462,8 @@ class TestCrossBranchConsumption:
         c = Circuit(
             ctx(b=BIT, q=QUBIT),
             (LiftInstr(EMPTY_ASSIGNMENT, "b", "u"),
-             GateApp(a(u=1), "Meas", MLabel("q"), MLabel("m")),
-             GateApp(a(u=0), "H", MLabel("q"), MLabel("q2"))),
+             GateApp(a(u=1), "Meas", LabelVal("q"), LabelVal("m")),
+             GateApp(a(u=0), "H", LabelVal("q"), LabelVal("q2"))),
         )
         sig = check_signature(c)
         assert lookup(sig.outputs, a(u=0)) == ctx(q2=QUBIT)

@@ -194,6 +194,20 @@ class TestGateSetEnv:
         code, _, err = run_cli(capsys, "check", src)
         assert code == 1
 
+    @pytest.mark.parametrize("text", [
+        '{"H": {"in": "Qubit", ',
+        '{"H": {"in": "Qubit"}}',
+        '{"H": {"in": "Qubit -o Qubit", "out": "Qubit"}}',
+    ], ids=["bad-json", "missing-out", "not-an-mtype"])
+    def test_malformed_gateset_is_user_error(self, tmp_path, capsys, monkeypatch, text):
+        path = tmp_path / "gates.json"
+        path.write_text(text)
+        monkeypatch.setenv("PQK_GATESET", str(path))
+        code, _, err = run_cli(capsys, "check", PROGRAMS / "teleport_box.pqk")
+        assert code == 1
+        assert "internal error" not in err
+        assert str(path) in err and "gate set" in err
+
 
 class TestUsageErrors:
     def test_unknown_flag_is_user_error(self, capsys):

@@ -18,8 +18,8 @@ from pqk.fuzz import GenConfig, _GenOut, check_progress, gen_corpus, shrink_cand
 from pqk.interp import Done, EvalEnv, Stuck, run_closed
 from pqk.parser import parse_program, parse_term
 from pqk.syntax import Let, Return, Term, Unit, children, format_term
-from pqk.trees import leaf
-from pqk.typecheck import check_closed_term
+from pqk.trees import leaf, path_set
+from pqk.typecheck import ComputationTyping, check_closed_term
 
 from mutants import stuck_lifting_apply
 
@@ -59,6 +59,7 @@ class TestTreeIsTheShape:
         assert SignatureState.__slots__ == ("outputs", "labels")
         assert [f.name for f in dataclasses.fields(CircuitSignature)] == ["input", "outputs"]
         assert [f.name for f in dataclasses.fields(_GenOut)] == ["term", "type"]
+        assert [f.name for f in dataclasses.fields(ComputationTyping)] == ["type"]
 
     def test_one_update_under_per_instruction(self, monkeypatch):
         main = parse_program((PROGRAMS / "six_lifts.pqk").read_text()).main
@@ -72,7 +73,7 @@ class TestTreeIsTheShape:
 
         monkeypatch.setattr(pqk.circuit, "update_under", counting)
         fresh = Circuit(circuit.input, circuit.instructions)
-        assert len(check_signature(fresh).tree.paths()) == 64
+        assert len(path_set(check_signature(fresh).tree)) == 64
         assert calls[0] == len(circuit.instructions) == 316
 
     def test_one_flatten_family_per_let(self, monkeypatch):

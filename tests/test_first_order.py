@@ -1,40 +1,46 @@
 """M-types are types and label tuples are values: the circuit language uses
-the term language's classes, under their old names too."""
+the term language's classes, under one name each."""
 
 from __future__ import annotations
 
 import inspect
 import pkgutil
+from collections import defaultdict
 from importlib import import_module
 
 import pqk
 import pqk.circuit
 import pqk.syntax
-from pqk.syntax import LabelVal, Pair, Unit, format_value
+import pqk.trees
+from pqk.syntax import LabelVal, Pair, PqkType, Unit, Value, format_value
 
-OLD_NAMES = {
-    "MUnit": "UnitType",
-    "MWire": "WireT",
-    "MTensor": "TensorType",
-    "MUnitVal": "Unit",
-    "MLabel": "LabelVal",
-    "MPair": "Pair",
-}
+# Second names that bench/ still imports; they go with the next benchmark change.
+BENCH_ALIASES = {"MLabel", "TreeLeaf", "TreeNode"}
 
 
-def test_old_names_are_the_syntax_classes():
-    for old, new in OLD_NAMES.items():
-        assert getattr(pqk.circuit, old) is getattr(pqk.syntax, new)
-    assert pqk.circuit.M_QUBIT == pqk.syntax.QUBIT_TYPE
-    assert pqk.circuit.M_STAR == Unit()
+def _modules():
+    return [import_module(f"pqk.{info.name}") for info in pkgutil.iter_modules(pqk.__path__)]
+
+
+def test_one_name_for_each_class_and_constant():
+    names: dict[object, set[str]] = defaultdict(set)
+    for module in [pqk, *_modules()]:
+        for name, obj in vars(module).items():
+            if name in BENCH_ALIASES:
+                continue
+            if (inspect.isclass(obj) and obj.__module__.startswith("pqk.")) or isinstance(obj, (PqkType, Value)):
+                names[obj].add(name)
+    assert {obj: n for obj, n in names.items() if len(n) > 1} == {}
+    assert pqk.circuit.MLabel is pqk.syntax.LabelVal
+    assert pqk.trees.TreeLeaf is pqk.trees.LiftedLeaf
+    assert pqk.trees.TreeNode is pqk.trees.LiftedNode
 
 
 def test_no_second_copy_or_translation():
-    m_classes = {"MType", "MValue", *OLD_NAMES}
+    m_classes = {"MType", "MValue"}
     gone = {"embed_mtype", "as_mtype", "value_to_mvalue", "mvalue_to_value",
             "format_mtype", "mtype_to_json", "mtype_from_json"}
-    for info in pkgutil.iter_modules(pqk.__path__):
-        module = import_module(f"pqk.{info.name}")
+    for module in _modules():
         defined = {obj.__name__ for obj in vars(module).values()
                    if (inspect.isclass(obj) or inspect.isfunction(obj))
                    and obj.__module__ == module.__name__}

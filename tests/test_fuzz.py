@@ -117,6 +117,28 @@ class TestShrinking:
             assert stuck(shrunk)
             assert not any(stuck(c) for c in shrink_candidates(shrunk) if c != shrunk)
 
+    def test_depth8_finding_shrinks_below_returned_lets_and_into_lambdas(self, monkeypatch):
+        # At depth 8 the finding of 989 characters keeps `let x1 = return * in ...`
+        # prefixes and a stuck lambda body without the substituting and lambda candidates.
+        stuck_lifting_apply(monkeypatch)
+        corpus = gen_corpus(GenConfig(seed=7, max_depth=8), 40)
+        [term] = [t for t in corpus if len(format_term(t)) == 989]
+        finding = check_progress(term)
+        assert finding is not None and len(finding.program) < 870
+        shrunk = parse_term(finding.program)
+        assert stuck(shrunk)
+        assert not any(stuck(c) for c in shrink_candidates(shrunk) if c != shrunk)
+
+    def test_candidates_substitute_values_and_enter_lambdas(self):
+        cases = {
+            "let x = return * in return (x, x)": "return (*, *)",
+            "let (x, y) = (*, *) in return (y, x)": "return (*, *)",
+            "return fun (x : Unit) -> let y = return x in return y": "return fun (x : Unit) -> return x",
+            "(fun (x : Unit) -> let y = return x in return y) *": "(fun (x : Unit) -> return x) *",
+        }
+        for src, expected in cases.items():
+            assert parse_term(expected) in list(shrink_candidates(parse_term(src))), src
+
     def test_shrink_preserves_property(self):
         calls = []
 

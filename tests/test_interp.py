@@ -8,7 +8,6 @@ from pqk.circuit import (
     Circuit,
     LiftInstr,
     LabelContext,
-    MLabel,
     QUBIT,
     boxed_equiv,
     check_signature,
@@ -26,7 +25,7 @@ from pqk.interp import (
 )
 from pqk.parser import boxed_from_circuit, parse_circuit_text, parse_program
 from pqk.syntax import Boxed, LabelVal, Force, Return, Unit, format_lifted_value, substitute
-from pqk.trees import EMPTY_ASSIGNMENT, Assignment, TreeNode, EMPTY_TREE, leaf, lookup, node
+from pqk.trees import EMPTY_ASSIGNMENT, Assignment, LiftedNode, EMPTY_TREE, leaf, lookup, path_set
 from pqk.typecheck import check_closed_term, typecheck_closed_right_config
 
 from mutants import skip_let_flatten
@@ -78,9 +77,9 @@ class TestExampleLet:
         instrs = out.config.circuit.instructions
         assert [type(i).__name__ for i in instrs] == ["GateApp", "LiftInstr", "GateApp"]
         meas, lift, had = instrs
-        assert meas.gate == "Meas" and meas.inputs == MLabel("l")
+        assert meas.gate == "Meas" and meas.inputs == LabelVal("l")
         assert lift.var == "u"
-        assert had.gate == "H" and had.cond == a(u=1) and had.inputs == MLabel("k")
+        assert had.gate == "H" and had.cond == a(u=1) and had.inputs == LabelVal("k")
         # value: k untouched on the 0 branch, the fresh H output on the 1 branch
         assert lookup(out.config.value, a(u=0)) == LabelVal("k")
         assert lookup(out.config.value, a(u=1)) == LabelVal(had.outputs.name)
@@ -122,8 +121,8 @@ class TestGoldenCircuits:
         out = run_closed(load("one_way_run.pqk"))
         assert isinstance(out, Done)
         sig = check_signature(out.config.circuit)
-        assert sig.tree == TreeNode("u", EMPTY_TREE, EMPTY_TREE)
-        assert set(out.config.value.paths()) == {a(u=0), a(u=1)}
+        assert sig.tree == LiftedNode("u", EMPTY_TREE, EMPTY_TREE)
+        assert set(path_set(out.config.value)) == {a(u=0), a(u=1)}
 
 
 class TestEvalProperties:
@@ -191,16 +190,16 @@ def self_measuring_term():
 
 class TestFreshLabels:
     def test_shapes(self):
-        from pqk.circuit import M_UNIT, M_QUBIT, M_BIT, MTensor, MPair, MLabel, M_STAR
+        from pqk.syntax import UNIT_TYPE, QUBIT_TYPE, BIT_TYPE, TensorType, Pair
         from pqk.interp import EvalEnv, freshlabels
 
         env = EvalEnv()
-        q, v = freshlabels(env, M_UNIT)
-        assert not q and v == M_STAR
-        q, v = freshlabels(env, M_QUBIT)
-        assert v == MLabel("%0") and q.get("%0") is not None
-        q, v = freshlabels(env, MTensor(M_QUBIT, M_BIT))
-        assert v == MPair(MLabel("%1"), MLabel("%2"))
+        q, v = freshlabels(env, UNIT_TYPE)
+        assert not q and v == Unit()
+        q, v = freshlabels(env, QUBIT_TYPE)
+        assert v == LabelVal("%0") and q.get("%0") is not None
+        q, v = freshlabels(env, TensorType(QUBIT_TYPE, BIT_TYPE))
+        assert v == Pair(LabelVal("%1"), LabelVal("%2"))
         assert [n for n, _ in q.entries] == ["%1", "%2"]
 
 
@@ -230,10 +229,10 @@ class TestBinderOrderAgreement:
         term = parse_program(self.SRC).main
         expected = check_closed_term(term)
         # sorted binders [a, z] bind positionally to [p, w]: first lift -> w
-        assert expected.tree == TreeNode(
+        assert expected.tree == LiftedNode(
             "w",
-            TreeNode("p", EMPTY_TREE, EMPTY_TREE),
-            TreeNode("p", EMPTY_TREE, EMPTY_TREE),
+            LiftedNode("p", EMPTY_TREE, EMPTY_TREE),
+            LiftedNode("p", EMPTY_TREE, EMPTY_TREE),
         )
         out = run_closed(term)
         assert isinstance(out, Done)

@@ -21,8 +21,6 @@ from pqk.trees import (
     Assignment,
     LiftedLeaf,
     LiftedNode,
-    TreeLeaf,
-    TreeNode,
     all_vars,
     graft,
     leaf,
@@ -43,15 +41,14 @@ def walked_vars(t) -> frozenset[str]:
 
 class TestOneRepresentation:
     def test_tree_names_are_the_lifted_classes(self):
-        assert TreeLeaf is LiftedLeaf and TreeNode is LiftedNode
         assert EMPTY_TREE == LiftedLeaf(None)
         assert str(EMPTY_TREE) == "_"
-        assert str(TreeNode("u", EMPTY_TREE, EMPTY_TREE)) == "<u ? _ | _>"
+        assert str(LiftedNode("u", EMPTY_TREE, EMPTY_TREE)) == "<u ? _ | _>"
         assert lifted_to_json(EMPTY_TREE, lambda _: None) == {"leaf": None}
 
     def test_tree_is_shape_with_empty_payloads(self):
         obj = LiftedNode("u", leaf(1), LiftedNode("s", leaf(2), leaf(3)))
-        assert obj.tree() == TreeNode("u", EMPTY_TREE, TreeNode("s", EMPTY_TREE, EMPTY_TREE))
+        assert obj.tree() == LiftedNode("u", EMPTY_TREE, LiftedNode("s", EMPTY_TREE, EMPTY_TREE))
 
     def test_stored_var_set_equals_walk(self):
         rng = random.Random(21)

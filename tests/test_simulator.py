@@ -89,9 +89,10 @@ class TestBasics:
             assert trace.outputs == LabelContext()
 
     def test_unsupported_gate(self):
-        from pqk.circuit import Gate, GateSet, M_QUBIT, DEFAULT_GATES
+        from pqk.circuit import Gate, GateSet, DEFAULT_GATES
+        from pqk.syntax import QUBIT_TYPE
 
-        exotic = GateSet([Gate("Sqrt", M_QUBIT, M_QUBIT)] + [
+        exotic = GateSet([Gate("Sqrt", QUBIT_TYPE, QUBIT_TYPE)] + [
             DEFAULT_GATES.get(n) for n in DEFAULT_GATES.names()
         ])
         c = parse_circuit_text("input(q:Qubit); Sqrt(q) -> q2;")

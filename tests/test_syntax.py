@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from pqk.circuit import BoxedCircuit, Circuit, GateApp, LabelContext, MLabel, QUBIT
+from pqk.circuit import BoxedCircuit, Circuit, GateApp, LabelContext, QUBIT
 from pqk.errors import PqkSyntaxError
 from pqk.parser import (
     boxed_from_circuit,
@@ -51,7 +51,7 @@ from pqk.syntax import (
     substitute,
     types_equal,
 )
-from pqk.trees import EMPTY_ASSIGNMENT, EMPTY_TREE, TreeNode, leaf, node
+from pqk.trees import EMPTY_ASSIGNMENT, EMPTY_TREE, LiftedNode, leaf
 
 
 def lam(x, ann, body):
@@ -70,7 +70,7 @@ class TestParseBasics:
         src = "let x = return * in case u { 0 => return x | 1 => return * }"
         t = parse_term(src)
         assert isinstance(t, Let)
-        assert t.branches == node("u", leaf(Return(Var("x"))), leaf(Return(Unit())))
+        assert t.branches == LiftedNode("u", leaf(Return(Var("x"))), leaf(Return(Unit())))
 
     def test_letpair(self):
         t = parse_term("let (x, y) = (*, *) in return (x, y)")
@@ -110,13 +110,13 @@ class TestParseBasics:
 
     def test_when_sugar(self):
         t = parse_term("let x = return * in when u = 1 do apply(f, y)")
-        assert t.branches == node(
+        assert t.branches == LiftedNode(
             "u", leaf(Return(Var("y"))), leaf(Apply((), Var("f"), Var("y")))
         )
 
     def test_when_sugar_zero_branch(self):
         t = parse_term("let x = return * in when u = 0 do apply(f, y)")
-        assert t.branches == node(
+        assert t.branches == LiftedNode(
             "u", leaf(Apply((), Var("f"), Var("y"))), leaf(Return(Var("y")))
         )
 
@@ -136,7 +136,7 @@ class TestParseTypes:
 
     def test_arrow_with_lifted_codomain(self):
         t = parse_type_text("Qubit -o <u ? Qubit | Bit>")
-        assert t == ArrowType(QUBIT_TYPE, node("u", leaf(QUBIT_TYPE), leaf(BIT_TYPE)))
+        assert t == ArrowType(QUBIT_TYPE, LiftedNode("u", leaf(QUBIT_TYPE), leaf(BIT_TYPE)))
 
     def test_arrow_annotation_checked(self):
         t = parse_type_text("Qubit -o[<u ? _ | _>] <u ? Qubit | Bit>")
@@ -148,12 +148,12 @@ class TestParseTypes:
         t = parse_type_text("!(Qubit -o Qubit)")
         assert isinstance(t, BangType)
         t2 = parse_type_text("!<u ? Unit | Unit>")
-        assert t2 == BangType(node("u", leaf(UNIT_TYPE), leaf(UNIT_TYPE)))
+        assert t2 == BangType(LiftedNode("u", leaf(UNIT_TYPE), leaf(UNIT_TYPE)))
 
     def test_circ(self):
         t = parse_type_text("Circ[<u ? _ | _>](Qubit, <u ? Unit | Unit>)")
         assert isinstance(t, CircType)
-        assert t.tree == TreeNode("u", EMPTY_TREE, EMPTY_TREE)
+        assert t.tree == LiftedNode("u", EMPTY_TREE, EMPTY_TREE)
 
     def test_circ_shape_mismatch(self):
         with pytest.raises(PqkSyntaxError):
@@ -207,7 +207,7 @@ class TestFreeNames:
         assert free_labels(LabelVal("l")) == {"l"}
         boxed = boxed_from_circuit(
             Circuit(LabelContext.of({"l": QUBIT}),
-                    (GateApp(EMPTY_ASSIGNMENT, "H", MLabel("l"), MLabel("k")),))
+                    (GateApp(EMPTY_ASSIGNMENT, "H", LabelVal("l"), LabelVal("k")),))
         )
         assert free_labels(Boxed(boxed)) == frozenset()
 
@@ -408,7 +408,7 @@ def random_ast(rng: random.Random, depth: int):
             return App(value(d - 1), value(d - 1))
         if k == 2:
             var = rng.choice(lifted_pool)
-            branches = node(var, leaf(term(d - 1)), leaf(term(d - 1)))
+            branches = LiftedNode(var, leaf(term(d - 1)), leaf(term(d - 1)))
             if rng.random() < 0.5:
                 branches = leaf(term(d - 1))
             return Let(rng.choice(vars_pool), term(d - 1), branches)
@@ -417,9 +417,7 @@ def random_ast(rng: random.Random, depth: int):
         if k == 4:
             return Force(value(d - 1))
         if k == 5:
-            from pqk.circuit import M_QUBIT
-
-            return Box(M_QUBIT, value(d - 1))
+            return Box(QUBIT_TYPE, value(d - 1))
         return Apply(tuple(rng.sample(lifted_pool, rng.randrange(2))), value(d - 1), value(d - 1))
 
     return term(depth)

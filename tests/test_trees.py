@@ -11,11 +11,10 @@ from pqk.trees import (
     EMPTY_ASSIGNMENT,
     EMPTY_TREE,
     Assignment,
+    LiftedLeaf,
     LiftedNode,
     Renaming,
     Sub,
-    TreeLeaf,
-    TreeNode,
     all_vars,
     compose,
     flatten,
@@ -41,8 +40,8 @@ def a(**kw):
     return Assignment.of(**kw)
 
 
-U_S = TreeNode("u", TreeNode("s", EMPTY_TREE, EMPTY_TREE), EMPTY_TREE)
-U_ONLY = TreeNode("u", EMPTY_TREE, EMPTY_TREE)
+U_S = LiftedNode("u", LiftedNode("s", EMPTY_TREE, EMPTY_TREE), EMPTY_TREE)
+U_ONLY = LiftedNode("u", EMPTY_TREE, EMPTY_TREE)
 
 
 class TestAssignment:
@@ -71,10 +70,10 @@ class TestAssignment:
 class TestTreeWellFormedness:
     def test_node_var_in_subtree_rejected(self):
         with pytest.raises(VariableClash):
-            TreeNode("u", TreeNode("u", EMPTY_TREE, EMPTY_TREE), EMPTY_TREE)
+            LiftedNode("u", LiftedNode("u", EMPTY_TREE, EMPTY_TREE), EMPTY_TREE)
 
     def test_shared_var_across_siblings_ok(self):
-        t = TreeNode("u", TreeNode("s", EMPTY_TREE, EMPTY_TREE), TreeNode("s", EMPTY_TREE, EMPTY_TREE))
+        t = LiftedNode("u", LiftedNode("s", EMPTY_TREE, EMPTY_TREE), LiftedNode("s", EMPTY_TREE, EMPTY_TREE))
         assert all_vars(t) == {"u", "s"}
 
 
@@ -164,9 +163,9 @@ class TestCompose:
         assert compose(self.delta, {}, []) == self.delta
 
     def test_full_overwrite_reads_back(self):
-        family = {p: ("new", p) for p in self.delta.paths()}
+        family = {p: ("new", p) for p in path_set(self.delta)}
         got = compose(self.delta, family, family.keys())
-        for p in self.delta.paths():
+        for p in path_set(self.delta):
             assert lookup(got, p) == ("new", p)
 
     def test_non_path_index_rejected(self):
@@ -189,10 +188,10 @@ class TestFlatten:
             LiftedNode("s", leaf("c0"), leaf("c1")),
             LiftedNode("s", leaf("c2"), leaf("c3")),
         )
-        assert got.tree() == TreeNode(
+        assert got.tree() == LiftedNode(
             "u",
-            TreeNode("s", EMPTY_TREE, EMPTY_TREE),
-            TreeNode("s", EMPTY_TREE, EMPTY_TREE),
+            LiftedNode("s", EMPTY_TREE, EMPTY_TREE),
+            LiftedNode("s", EMPTY_TREE, EMPTY_TREE),
         )
 
     def test_variable_clash_rejected(self):
@@ -204,24 +203,24 @@ class TestFlatten:
 
 class TestGraft:
     def test_graft_on_empty_tree(self):
-        r = TreeNode("s", EMPTY_TREE, EMPTY_TREE)
+        r = LiftedNode("s", EMPTY_TREE, EMPTY_TREE)
         assert graft(EMPTY_TREE, EMPTY_ASSIGNMENT, r) == r
 
     def test_graft_empty_subtree_is_identity(self):
         assert graft(U_ONLY, a(u=1), EMPTY_TREE) == U_ONLY
 
     def test_graft_one_branch(self):
-        r = TreeNode("s", EMPTY_TREE, EMPTY_TREE)
-        assert graft(U_ONLY, a(u=1), r) == TreeNode("u", EMPTY_TREE, r)
+        r = LiftedNode("s", EMPTY_TREE, EMPTY_TREE)
+        assert graft(U_ONLY, a(u=1), r) == LiftedNode("u", EMPTY_TREE, r)
 
     def test_graft_partial_assignment_hits_all_extending_paths(self):
-        r = TreeNode("w", EMPTY_TREE, EMPTY_TREE)
+        r = LiftedNode("w", EMPTY_TREE, EMPTY_TREE)
         got = graft(U_S, a(u=0), r)
-        assert got == TreeNode("u", TreeNode("s", r, r), EMPTY_TREE)
+        assert got == LiftedNode("u", LiftedNode("s", r, r), EMPTY_TREE)
 
     def test_graft_obj_duplicates_payload(self):
         obj = LiftedNode("u", leaf("x"), leaf("y"))
-        r = TreeNode("s", EMPTY_TREE, EMPTY_TREE)
+        r = LiftedNode("s", EMPTY_TREE, EMPTY_TREE)
         got = graft(obj, a(u=1), r)
         assert got == LiftedNode("u", leaf("x"), LiftedNode("s", leaf("y"), leaf("y")))
 
@@ -233,7 +232,7 @@ class TestRenaming:
 
     def test_single_swap(self):
         pi = Renaming({"u": "s2"})
-        assert rename_lifted(U_ONLY, pi) == TreeNode("s2", EMPTY_TREE, EMPTY_TREE)
+        assert rename_lifted(U_ONLY, pi) == LiftedNode("s2", EMPTY_TREE, EMPTY_TREE)
 
     def test_round_trip_random(self):
         rng = random.Random(7)
@@ -266,7 +265,7 @@ class TestMapViewOracle:
         rng = random.Random(3)
         for _ in range(300):
             obj = random_lifted(rng, self.POOL, 4, lambda r: r.randrange(100))
-            ps = obj.paths()
+            ps = path_set(obj)
             index = [p for p in ps if rng.random() < 0.5]
             family = {p: rng.randrange(1000) for p in index}
             got = compose(obj, family, index)
@@ -280,7 +279,7 @@ class TestMapViewOracle:
             obj = random_lifted(rng, self.POOL, 3, lambda r: r.randrange(100))
             sub_pool = ["z1", "z2"] + self.POOL[:2]
             family = {}
-            for p in obj.paths():
+            for p in path_set(obj):
                 if rng.random() < 0.6:
                     family[p] = random_lifted(rng, sub_pool, 2, lambda r: r.randrange(100))
             tagged = compose(obj, {p: Sub(s) for p, s in family.items()}, family.keys())
@@ -332,10 +331,10 @@ class TestFlattenFamily:
     def test_tree_family(self):
         fam = {
             a(u=0): EMPTY_TREE,
-            a(u=1): TreeNode("s", EMPTY_TREE, EMPTY_TREE),
+            a(u=1): LiftedNode("s", EMPTY_TREE, EMPTY_TREE),
         }
-        assert flatten_family(U_ONLY, fam) == TreeNode(
-            "u", EMPTY_TREE, TreeNode("s", EMPTY_TREE, EMPTY_TREE)
+        assert flatten_family(U_ONLY, fam) == LiftedNode(
+            "u", EMPTY_TREE, LiftedNode("s", EMPTY_TREE, EMPTY_TREE)
         )
 
 
@@ -360,7 +359,7 @@ def trees(draw, max_depth=4):
             return EMPTY_TREE
         var = draw(st.sampled_from(sorted(pool)))
         rest = pool - {var}
-        return TreeNode(var, build(rest, depth - 1), build(rest, depth - 1))
+        return LiftedNode(var, build(rest, depth - 1), build(rest, depth - 1))
 
     pool = frozenset(draw(st.sets(names, min_size=1, max_size=5)))
     return build(pool, max_depth)
@@ -370,7 +369,7 @@ def trees(draw, max_depth=4):
 @given(trees())
 def test_path_count_equals_leaf_count(t):
     def count_leaves(t):
-        if isinstance(t, TreeLeaf):
+        if isinstance(t, LiftedLeaf):
             return 1
         return count_leaves(t.zero) + count_leaves(t.one)
 

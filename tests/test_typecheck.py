@@ -10,8 +10,6 @@ from pqk.circuit import (
     Circuit,
     GateApp,
     LabelContext,
-    MLabel,
-    M_UNIT,
 )
 from pqk.errors import (
     KIND_BRANCH_ARITY,
@@ -42,7 +40,7 @@ from pqk.syntax import (
     Var,
     types_equal,
 )
-from pqk.trees import EMPTY_ASSIGNMENT, EMPTY_TREE, Assignment, TreeNode, leaf, node
+from pqk.trees import EMPTY_ASSIGNMENT, EMPTY_TREE, Assignment, LiftedNode, leaf, lookup
 from pqk.typecheck import (
     ComputationTyping,
     EMPTY_TYPING_CONTEXT,
@@ -140,7 +138,7 @@ def parse_fixture(body: str):
 class TestTerms:
     def test_return_unit(self):
         result, leftover = type_term(EMPTY_TYPING_CONTEXT, Return(Unit()))
-        assert result == ComputationTyping(EMPTY_TREE, leaf(UNIT_TYPE))
+        assert result == ComputationTyping(leaf(UNIT_TYPE))
 
     def test_one_way_golden_type(self):
         src = (PROGRAMS / "one_way.pqk").read_text()
@@ -163,8 +161,8 @@ class TestTerms:
 
         term = substitute(body, LabelVal("k"), "k")
         result, leftover = type_term(ctx(labels={"k": QUBIT}), term)
-        assert result.tree == TreeNode("u", EMPTY_TREE, EMPTY_TREE)
-        assert result.type == node("u", leaf(QUBIT_TYPE), leaf(QUBIT_TYPE))
+        assert result.tree == LiftedNode("u", EMPTY_TREE, EMPTY_TREE)
+        assert result.type == LiftedNode("u", leaf(QUBIT_TYPE), leaf(QUBIT_TYPE))
         assert not leftover.labels
 
     def test_apply_renaming_coherence(self):
@@ -174,8 +172,8 @@ class TestTerms:
 
         term = substitute(term, LabelVal("q"), "q")
         result, _ = type_term(ctx(labels={"q": QUBIT}), term)
-        assert result.tree == TreeNode("w", EMPTY_TREE, EMPTY_TREE)
-        assert result.type == node("w", leaf(UNIT_TYPE), leaf(UNIT_TYPE))
+        assert result.tree == LiftedNode("w", EMPTY_TREE, EMPTY_TREE)
+        assert result.type == LiftedNode("w", leaf(UNIT_TYPE), leaf(UNIT_TYPE))
 
     def test_apply_wrong_var_count(self):
         term = parse_fixture("apply(ML, q)")
@@ -227,7 +225,7 @@ class TestTerms:
             check_closed_term(term)
         ok = parse_fixture("force (lift return *)")
         result, _ = type_term(EMPTY_TYPING_CONTEXT, ok)
-        assert result == ComputationTyping(EMPTY_TREE, leaf(UNIT_TYPE))
+        assert result == ComputationTyping(leaf(UNIT_TYPE))
 
     def test_force_restores_effect_tree(self):
         # lift a computation with a genuine lifting effect (no labels needed)
@@ -236,13 +234,13 @@ class TestTerms:
             " case u { 0 => return * | 1 => return * }))"
         )
         result = check_closed_term(term)
-        assert result.tree == TreeNode("u", EMPTY_TREE, EMPTY_TREE)
+        assert result.tree == LiftedNode("u", EMPTY_TREE, EMPTY_TREE)
 
     def test_box_golden(self):
         src = (PROGRAMS / "alice_box.pqk").read_text()
         result = check_closed_term(parse_program(src).main)
         assert result.tree == EMPTY_TREE
-        got = result.type.lookup(EMPTY_ASSIGNMENT)
+        got = lookup(result.type, EMPTY_ASSIGNMENT)
         expected = parse_type_text("Circ[_](Qubit * Qubit, Bit * Bit)")
         assert types_equal(got, expected)
 
@@ -255,7 +253,7 @@ class TestTerms:
     def test_teleport_fixture_type(self):
         src = (PROGRAMS / "teleport_box.pqk").read_text()
         result = check_closed_term(parse_program(src).main)
-        got = result.type.lookup(EMPTY_ASSIGNMENT)
+        got = lookup(result.type, EMPTY_ASSIGNMENT)
         expected = parse_type_text(
             "Circ[<u ? <s ? _ | _> | <s ? _ | _>>]"
             "(Qubit * Qubit * Qubit, <u ? <s ? Qubit | Qubit> | <s ? Qubit | Qubit>>)"
@@ -267,35 +265,35 @@ class TestLiftedJudgments:
     def test_single_leaf_behaves_as_type_term(self):
         mu = leaf(Return(Unit()))
         results, leftover = type_lifted_term(EMPTY_TYPING_CONTEXT, mu)
-        assert results.lookup(EMPTY_ASSIGNMENT) == ComputationTyping(EMPTY_TREE, leaf(UNIT_TYPE))
+        assert lookup(results, EMPTY_ASSIGNMENT) == ComputationTyping(leaf(UNIT_TYPE))
 
     def test_branch_sub_derivations_of_one_way(self):
         # the two branch continuations of the one-way program: leaf types Qubit / Bit
         meas = boxed_from_circuit(
             Circuit(LabelContext.of({"l": QUBIT}),
-                    (GateApp(EMPTY_ASSIGNMENT, "Meas", MLabel("l"), MLabel("l2")),))
+                    (GateApp(EMPTY_ASSIGNMENT, "Meas", LabelVal("l"), LabelVal("l2")),))
         )
-        mu = node(
+        mu = LiftedNode(
             "u",
             leaf(Return(Var("a"))),
             leaf(Apply((), Boxed(meas), Var("a"))),
         )
         results, _ = type_lifted_term(ctx({"a": QUBIT_TYPE}), mu)
-        zero = results.lookup(a(u=0))
-        one = results.lookup(a(u=1))
+        zero = lookup(results, a(u=0))
+        one = lookup(results, a(u=1))
         assert zero.type == leaf(QUBIT_TYPE)
         assert one.type == leaf(BIT_TYPE)
 
     def test_shape_mismatch(self):
         mu = leaf(Return(Unit()))
         with pytest.raises(TypeCheckError) as err:
-            type_lifted_term(EMPTY_TYPING_CONTEXT, mu, expected_tree=TreeNode("u", EMPTY_TREE, EMPTY_TREE))
+            type_lifted_term(EMPTY_TYPING_CONTEXT, mu, expected_tree=LiftedNode("u", EMPTY_TREE, EMPTY_TREE))
         assert err.value.kind == KIND_BRANCH_ARITY
 
 
 class TestMJudgmentBridge:
     def test_unit(self):
-        assert mjudgment_bridge(LabelContext(), Unit()) == M_UNIT
+        assert mjudgment_bridge(LabelContext(), Unit()) == UNIT_TYPE
 
     def test_label(self):
         assert mjudgment_bridge(LabelContext.of({"l": BIT}), LabelVal("l")).wire == BIT
@@ -410,6 +408,6 @@ class TestBranchVariableReuse:
             " | 1 => apply(MEASD2, q2) }"
         )
         result = check_closed_term(term)
-        assert result.tree == TreeNode(
-            "u", TreeNode("w", EMPTY_TREE, EMPTY_TREE), EMPTY_TREE
+        assert result.tree == LiftedNode(
+            "u", LiftedNode("w", EMPTY_TREE, EMPTY_TREE), EMPTY_TREE
         )

@@ -32,7 +32,6 @@ from pqk.trees import (
     is_consistent,
     leaf,
     lookup,
-    node,
     path_set,
     to_map,
     update_under,
@@ -69,7 +68,7 @@ def replacement(rng: random.Random):
     """A random fn for update_under: a new leaf, or a fresh node over two leaves."""
     if rng.random() < 0.5:
         return lambda p, v: leaf((str(p), v))
-    return lambda p, v: node("fresh", leaf(v), leaf(str(p)))
+    return lambda p, v: LiftedNode("fresh", leaf(v), leaf(str(p)))
 
 
 class TestUpdateUnder:
@@ -83,7 +82,7 @@ class TestUpdateUnder:
 
     def test_variable_missing_from_some_paths(self):
         # s is bound under u = 0 only: the leaf at (u = 1) does not extend (s = 1)
-        obj = node("u", node("s", leaf("a"), leaf("b")), leaf("c"))
+        obj = LiftedNode("u", LiftedNode("s", leaf("a"), leaf("b")), leaf("c"))
         got = update_under(obj, Assignment.of(s=1), lambda p, v: leaf(v.upper()))
         assert to_map(got) == {
             Assignment.of(u=0, s=0): "a",
@@ -119,7 +118,7 @@ class TestUpdateUnder:
             check(obj, update_under(obj, cond, lambda p, v: leaf(-1)), [], cond)
 
     def test_no_extending_leaf_returns_obj(self):
-        obj = node("u", leaf(0), leaf(1))
+        obj = LiftedNode("u", leaf(0), leaf(1))
         assert update_under(obj, Assignment.of(s=0), lambda p, v: leaf(9)) is obj
 
 
@@ -178,14 +177,14 @@ class TestAgainstComposeDefinitions:
         assert clashes > 0
 
     def test_flatten_family_non_path_key(self):
-        obj = node("u", leaf(0), leaf(1))
+        obj = LiftedNode("u", leaf(0), leaf(1))
         family = {Assignment.of(u=0, s=1): leaf(5)}
         assert outcome(flatten_family, obj, family) is InvalidBranch
         assert outcome(old_flatten_family, obj, family) is InvalidBranch
 
     def test_flatten_family_unfolds_existing_subs(self):
-        obj = node("u", leaf(Sub(node("s", leaf(1), leaf(2)))), leaf(3))
-        family = {Assignment.of(u=1): node("w", leaf(4), leaf(5))}
+        obj = LiftedNode("u", leaf(Sub(LiftedNode("s", leaf(1), leaf(2)))), leaf(3))
+        family = {Assignment.of(u=1): LiftedNode("w", leaf(4), leaf(5))}
         assert flatten_family(obj, family) == old_flatten_family(obj, family)
 
     def test_graft(self):
@@ -251,7 +250,7 @@ class TestSixLifts:
         program = parse_program(lifts_program(6))
         out = run_closed(program.main, EvalEnv())
         assert isinstance(out, Done)
-        assert len(check_signature(out.config.circuit).tree.paths()) == 64
+        assert len(path_set(check_signature(out.config.circuit).tree)) == 64
         assert calls_inside[0] == 0
 
     def test_parses_checks_and_runs_with_64_paths(self):
@@ -264,7 +263,7 @@ class TestSixLifts:
         assert isinstance(out, Done)
         sig = check_signature(out.config.circuit)
         assert sig.tree == typing.tree
-        assert len(out.config.value.paths()) == 64
+        assert len(path_set(out.config.value)) == 64
         assert len(out.config.circuit.instructions) == 316
 
 
