@@ -435,7 +435,7 @@ def check_signature(c: Circuit, gateset: GateSet = DEFAULT_GATES) -> CircuitSign
 
 
 def rename_mvalue(v: Value, rho: Renaming) -> Value:
-    if not rho or isinstance(v, Unit):
+    if isinstance(v, Unit):
         return v
     if isinstance(v, LabelVal):
         return LabelVal(rho(v.name))
@@ -454,11 +454,6 @@ def _rewrite(ins: Instruction, rho: Renaming, pi: Renaming, a: Assignment = EMPT
 def rename_circuit(c: Circuit, rho: Renaming = IDENTITY, pi: Renaming = IDENTITY) -> Circuit:
     """c with its labels renamed by rho and its lifted variables by pi."""
     return Circuit(c.input.rename(rho), tuple(_rewrite(ins, rho, pi) for ins in c.instructions))
-
-
-def rename_signature(sig: CircuitSignature, rho: Renaming = IDENTITY, pi: Renaming = IDENTITY) -> CircuitSignature:
-    """sig with its labels renamed by rho and its lifted variables by pi."""
-    return CircuitSignature(sig.input.rename(rho), rename_lifted(map_leaves(sig.outputs, lambda q: q.rename(rho)), pi))
 
 
 # ---------------------------------------------------------------------------
@@ -500,8 +495,8 @@ def rename_boxed(b: BoxedCircuit, rho: Renaming = IDENTITY, pi: Renaming = IDENT
     )
 
 
-def canonicalize_boxed_vars(b: BoxedCircuit) -> BoxedCircuit:
-    """Rename the abstracted lifted variables to a canonical sequence.
+def _canonical_vars(b: BoxedCircuit) -> Renaming:
+    """Renaming of the abstracted lifted variables to a canonical sequence.
 
     Order: lift-instruction order in the circuit, then tree pre-order for any
     variable not introduced by a lift.
@@ -512,24 +507,27 @@ def canonicalize_boxed_vars(b: BoxedCircuit) -> BoxedCircuit:
             lifted_order.setdefault(ins.var)
     for v in preorder_vars(b.out_tuples):
         lifted_order.setdefault(v)
-    pi = Renaming({v: f"~v{i}" for i, v in enumerate(lifted_order)})
-    return rename_boxed(b, pi=pi)
+    return Renaming({v: f"~v{i}" for i, v in enumerate(lifted_order)})
+
+
+def canonicalize_boxed_vars(b: BoxedCircuit) -> BoxedCircuit:
+    """b with its abstracted lifted variables renamed to a canonical sequence."""
+    return rename_boxed(b, pi=_canonical_vars(b))
 
 
 def canonical_boxed(b: BoxedCircuit) -> BoxedCircuit:
     """Canonical representative of b's equivalence class.
 
-    Lifted variables are canonicalized, then labels are renamed in
-    first-occurrence order over (in_tuple, input context, instructions,
-    out tuples).
+    Lifted variables are canonicalized and, in the same rebuild, labels are
+    renamed in first-occurrence order over (in_tuple, input context,
+    instructions, out tuples); that order does not depend on the variables.
     """
-    b = canonicalize_boxed_vars(b)
     order = dict.fromkeys(mvalue_labels(b.in_tuple))
     order.update(b.circuit.all_labels())
     for v in trees.leaves(b.out_tuples):
         order.update(dict.fromkeys(mvalue_labels(v)))
     rho = Renaming({n: f"~l{i}" for i, n in enumerate(order)})
-    return rename_boxed(b, rho)
+    return rename_boxed(b, rho, _canonical_vars(b))
 
 
 def boxed_equiv(b1: BoxedCircuit, b2: BoxedCircuit) -> bool:

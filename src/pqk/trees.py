@@ -67,10 +67,6 @@ class Assignment:
         return Assignment(tuple(p for p in self.bindings if p[0] != var))
 
     def union(self, other: Assignment) -> Assignment:
-        if not other:
-            return self
-        if not self:
-            return other
         overlap = self.domain() & other.domain()
         if overlap:
             raise AssignmentClash(f"assignments overlap on {sorted(overlap)}")
@@ -81,8 +77,6 @@ class Assignment:
         return all(self.get(v) == b for v, b in other.bindings)
 
     def rename(self, pi: Renaming) -> Assignment:
-        if not pi:
-            return self
         return Assignment.of({pi(v): b for v, b in self.bindings})
 
     def __len__(self) -> int:
@@ -129,10 +123,6 @@ class Renaming:
 
     def __call__(self, name: str) -> str:
         return self._perm.get(name, name)
-
-    def __bool__(self) -> bool:
-        """False for the identity."""
-        return bool(self._perm)
 
     def inverse(self) -> Renaming:
         return Renaming({v: k for k, v in self._perm.items()})

@@ -14,20 +14,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from pqk.circuit import Circuit, LiftInstr, mvalue_labels
+from pqk.circuit import Circuit, CircuitSignature, LiftInstr, mvalue_labels
 
 from pqk.errors import InvalidBranch
 from pqk.trees import (
     EMPTY_ASSIGNMENT,
     EMPTY_TREE,
+    IDENTITY,
     Assignment,
     Lifted,
     LiftedLeaf,
     LiftedNode,
+    Renaming,
     Sub,
     all_vars,
     is_consistent,
+    map_leaves,
     path_set,
+    rename_lifted,
     to_map,
 )
 
@@ -89,6 +93,11 @@ def graft_map(t: Lifted, a: Assignment, r: Lifted):
         else:
             out.add(p)
     return out
+
+
+def rename_signature(sig: CircuitSignature, rho: Renaming = IDENTITY, pi: Renaming = IDENTITY) -> CircuitSignature:
+    """sig with its labels renamed by rho and its lifted variables by pi."""
+    return CircuitSignature(sig.input.rename(rho), rename_lifted(map_leaves(sig.outputs, lambda q: q.rename(rho)), pi))
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ import time
 import numpy as np
 import pytest
 
-from pqk.circuit import boxed_equiv, check_signature, rename_circuit, rename_signature
+from pqk.circuit import boxed_equiv, check_signature, rename_circuit
 from pqk.errors import VariableClash
 from pqk.fuzz import GenConfig, check_progress, check_sr, count_lifting_applies, gen_corpus
 from pqk.interp import Done, Stuck, run_closed
@@ -40,7 +40,7 @@ from pqk.trees import (
 from pqk.typecheck import check_closed_term, check_closed_value, typecheck_closed_right_config
 
 from circuit_gen import random_circuit
-from oracles import assignment_set, flatten_map, graft_map, random_lifted, random_tree
+from oracles import assignment_set, flatten_map, graft_map, random_lifted, random_tree, rename_signature
 from mutants import skip_let_flatten
 
 PROGRAMS = pathlib.Path(__file__).resolve().parent.parent / "programs"

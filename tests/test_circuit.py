@@ -26,7 +26,6 @@ from pqk.circuit import (
     mvalue_labels,
     rename_boxed,
     rename_circuit,
-    rename_signature,
     type_mvalue,
 )
 from pqk.errors import (
@@ -54,6 +53,7 @@ from pqk.trees import (
 )
 
 from circuit_gen import random_circuit
+from oracles import rename_signature
 
 
 def a(**kw):

@@ -37,7 +37,7 @@ def test_one_name_for_each_class_and_constant():
 
 
 def test_no_second_copy_or_translation():
-    m_classes = {"MType", "MValue"}
+    m_classes = {"MType", "MValue", "MUnit", "MWire", "MTensor", "MUnitVal", "MLabel", "MPair"}
     gone = {"embed_mtype", "as_mtype", "value_to_mvalue", "mvalue_to_value",
             "format_mtype", "mtype_to_json", "mtype_from_json"}
     for module in _modules():
