@@ -1,8 +1,9 @@
 """Command-line interface: check / run / sim / circuit / fuzz.
 
-Exit codes: 0 success, 1 user error (syntax, typing, simulation), 2 internal
-invariant failure.  Set PQK_GATESET to a JSON file to replace the default
-gate set for check/run/sim/circuit (the fuzzer always uses the default set).
+Exit codes: 0 success, 1 user error (syntax, typing, simulation, a path that
+cannot be read or written), 2 internal invariant failure.  Set PQK_GATESET to
+a JSON file to replace the default gate set for check/run/sim/circuit (the
+fuzzer always uses the default set).
 """
 
 from __future__ import annotations
@@ -287,7 +288,7 @@ def main(argv: list[str] | None = None) -> int:
         # devnull so that the flush at exit does not fail a second time.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_USER
-    except (PqkError, FileNotFoundError) as exc:
+    except (PqkError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USER
     except Exception as exc:  # pragma: no cover - defensive

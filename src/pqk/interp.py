@@ -32,10 +32,8 @@ from .syntax import (
     LetPair,
     LiftV,
     Pair,
-    PqkType,
     Return,
     Term,
-    Value,
     Var,
     is_label_tuple,
     substitute,
@@ -99,11 +97,6 @@ class EvalEnv:
     findings: list[str] = field(default_factory=list)
 
 
-def freshlabels(env: EvalEnv, t: PqkType) -> tuple[LabelContext, Value]:
-    """(Q, tuple) with Q |= tuple : t, drawn from the evaluation's label counter."""
-    return fresh_labels_for(t, env.labels)
-
-
 def eval_config(cfg: LeftConfig, env: EvalEnv) -> EvalOutcome:
     if env.fuel <= 0:
         return FuelExhausted()
@@ -134,7 +127,7 @@ def eval_config(cfg: LeftConfig, env: EvalEnv) -> EvalOutcome:
     if isinstance(m, Box):
         if not isinstance(m.value, LiftV):
             return Stuck("BoxNonLift", cfg)
-        q, in_tuple = freshlabels(env, m.mtype)
+        q, in_tuple = fresh_labels_for(m.mtype, env.labels)
         sandbox_term = Let(
             "#box",
             m.value.body,

@@ -6,8 +6,8 @@ lifted-variable name with a zero- and a one-subtree.  A lifting tree is the
 lifted object whose payloads are all None (its leaves print as ``_``), and
 ``tree()`` gives the shape of any lifted object, so one set of operations
 serves both.  Equivalently a lifted object is a finite map from root-to-leaf
-paths (assignments) to payloads: the tree form is primary, the map view
-(``to_map``/``from_map``) serves as an oracle.
+paths (assignments) to payloads: the tree form is primary, and the map view
+``to_map`` serves as an oracle.
 """
 
 from __future__ import annotations
@@ -335,26 +335,12 @@ def to_map(obj: Lifted) -> dict[Assignment, Any]:
 
 def from_map(t: Lifted, mapping: Mapping[Assignment, Any]) -> Lifted:
     """Rebuild the tree form of a map view over t's shape."""
-    if isinstance(t, LiftedLeaf):
-        return LiftedLeaf(mapping[EMPTY_ASSIGNMENT])
-    assert isinstance(t, LiftedNode)
-
-    def restrict(bit: int) -> dict[Assignment, Any]:
-        return {
-            a.without(t.var): v
-            for a, v in mapping.items()
-            if a.get(t.var) == bit
-        }
-
-    return LiftedNode(t.var, from_map(t.zero, restrict(0)), from_map(t.one, restrict(1)))
+    return update_under(t, EMPTY_ASSIGNMENT, lambda p, _: LiftedLeaf(mapping[p]))
 
 
 def const(t: Lifted, value: Any) -> Lifted:
     """Lifted object over t's shape carrying the same payload at every leaf."""
-    if isinstance(t, LiftedLeaf):
-        return LiftedLeaf(value)
-    assert isinstance(t, LiftedNode)
-    return LiftedNode(t.var, const(t.zero, value), const(t.one, value))
+    return map_leaves(t, lambda _: value)
 
 
 def map_leaves(obj: Lifted, fn: Callable[[Any], Any]) -> Lifted:

@@ -59,6 +59,7 @@ from .syntax import (
     Value,
     Var,
     WireT,
+    format_lifted_type,
     free_labels,
     is_label_tuple,
     is_mtype,
@@ -69,6 +70,7 @@ from .syntax import (
 from .trees import (
     Assignment,
     EMPTY_ASSIGNMENT,
+    EMPTY_TREE,
     Lifted,
     LiftedLeaf,
     Renaming,
@@ -79,13 +81,11 @@ from .trees import (
     leaf,
     lookup,
     path_items,
-    path_set,
     rename_lifted,
     subtree_at,
-    var_set,
     var_sort_key,
 )
-from .errors import VariableClash
+from .errors import InvalidBranch, VariableClash
 
 
 @dataclass(frozen=True)
@@ -137,8 +137,6 @@ class ComputationTyping:
         return self.type.tree()
 
     def __str__(self) -> str:
-        from .syntax import format_lifted_type
-
         return f"({self.tree}, {format_lifted_type(self.type)})"
 
     __repr__ = __str__
@@ -487,133 +485,78 @@ class ConfigReport:
         return self.ok
 
 
-def typecheck_left_config(
+def typecheck_config(
     circuit: Circuit,
     branch: Assignment,
-    term: Term,
-    *,
-    input_ctx: LabelContext,
-    past_tree: Lifted,
-    future_tree: Lifted,
+    body: Term | Lifted,
     ty: Lifted,
     outputs: Lifted,
+    *,
+    input_ctx: LabelContext = LabelContext(),
     gateset: GateSet = DEFAULT_GATES,
 ) -> ConfigReport:
-    """The well-typed-left-configuration conjunction, reported conjunct by conjunct."""
+    """Configuration well-typedness, reported conjunct by conjunct.
+
+    A left configuration's body is a term and a right configuration's body a
+    lifted value; ty is the body's lifted type.  outputs is the expected label
+    context on every path of the circuit, so the circuit's tree is
+    outputs.tree() and the future tree is ty.tree().  Below branch the
+    circuit's tree is a leaf for a term and the future tree for a value.
+    """
+    tree, future = outputs.tree(), ty.tree()
+    is_term = not isinstance(body, Lifted)
+    below = EMPTY_TREE if is_term else future
+    try:
+        grafted = subtree_at(tree, branch)
+    except InvalidBranch as exc:
+        return ConfigReport(False, [f"branch {branch} is not a path of the past lifting tree: {exc}"])
+    if grafted != below:
+        return ConfigReport(False, [f"the outputs' tree has {grafted} below branch {branch}, "
+                                    f"not {below}"])
     failures: list[str] = []
-    if branch not in set(path_set(past_tree)):
-        failures.append(f"branch {branch} is not a path of the past lifting tree")
-        return ConfigReport(False, failures)
-    if var_set(past_tree, branch) & all_vars(future_tree):
+    if branch.domain() & all_vars(future):
         failures.append("future lifting tree reuses live lifted variables")
-    try:
-        sig = check_signature(circuit, gateset)
-    except CircuitError as exc:
-        failures.append(f"circuit has no signature: {exc}")
-        return ConfigReport(False, failures)
-    if sig.tree != past_tree:
-        failures.append(f"circuit tree {sig.tree} differs from past tree {past_tree}")
-        return ConfigReport(False, failures)
-    if sig.input != input_ctx:
-        failures.append("circuit input context mismatch")
-    term_labels = None
-    for p, have in path_items(sig.outputs):
-        want = lookup(outputs, p)
-        if p == branch:
-            missing = want.domain() - have.domain()
-            if missing or any(have.get(n) != w for n, w in want.entries):
-                failures.append(f"outputs at {p} do not extend the expected context")
-            else:
-                term_labels = have.remove(want.domain())
-        elif have != want:
-            failures.append(f"outputs differ on branch {p}")
-    if term_labels is None:
-        failures.append("no label context left for the term")
-        return ConfigReport(False, failures)
-    try:
-        checker = Checker(gateset)
-        result, leftover = checker.check_term(TypingContext(labels=term_labels), term)
-    except TypeCheckError as exc:
-        failures.append(f"term ill-typed: {exc}")
-        return ConfigReport(False, failures)
-    if leftover.linear_names() or leftover.labels:
-        failures.append("term does not consume its label context")
-    if result.tree != future_tree:
-        failures.append(f"term effect tree {result.tree} differs from future tree {future_tree}")
-    elif not lifted_types_equal(result.type, ty):
-        failures.append(f"term type {result.type} differs from expected {ty}")
-    return ConfigReport(not failures, failures)
-
-
-def typecheck_right_config(
-    circuit: Circuit,
-    value: Lifted,
-    *,
-    input_ctx: LabelContext,
-    overall_tree: Lifted,
-    future_tree: Lifted,
-    branch: Assignment,
-    ty: Lifted,
-    outputs: Lifted,
-    gateset: GateSet = DEFAULT_GATES,
-) -> ConfigReport:
-    """The well-typed-right-configuration conjunction."""
-    failures: list[str] = []
-    try:
-        grafted = subtree_at(overall_tree, branch)
-    except Exception:
-        grafted = None
-    if grafted != future_tree:
-        failures.append(
-            f"overall tree does not decompose as the past tree grafted with {future_tree} at {branch}"
-        )
-        return ConfigReport(False, failures)
-    if value.tree() != future_tree:
-        failures.append(f"value tree {value.tree()} differs from the future tree {future_tree}")
+    if not is_term and body.tree() != future:
+        failures.append(f"value tree {body.tree()} differs from the future tree {future}")
         return ConfigReport(False, failures)
     try:
         sig = check_signature(circuit, gateset)
     except CircuitError as exc:
         failures.append(f"circuit has no signature: {exc}")
         return ConfigReport(False, failures)
-    if sig.tree != overall_tree:
-        failures.append(f"circuit tree {sig.tree} differs from overall tree {overall_tree}")
+    if sig.tree != tree:
+        failures.append(f"circuit tree {sig.tree} differs from the outputs' tree {tree}")
         return ConfigReport(False, failures)
     if sig.input != input_ctx:
         failures.append("circuit input context mismatch")
     for p, have in path_items(sig.outputs):
         want = lookup(outputs, p)
-        if p.extends(branch):
-            sub = _strip(p, branch)
-            missing = want.domain() - have.domain()
-            if missing or any(have.get(n) != w for n, w in want.entries):
-                failures.append(f"outputs at {p} do not extend the expected context")
-                continue
-            value_labels = have.remove(want.domain())
-            try:
-                checker = Checker(gateset)
-                got, leftover = checker.check_value(
-                    TypingContext(labels=value_labels), lookup(value, sub)
-                )
-            except TypeCheckError as exc:
-                failures.append(f"value ill-typed on branch {sub}: {exc}")
-                continue
-            if leftover.linear_names() or leftover.labels:
-                failures.append(f"value does not consume its labels on branch {sub}")
-            if not types_equal(got, lookup(ty, sub)):
-                failures.append(
-                    f"value on branch {sub} has type {got}, expected {lookup(ty, sub)}"
-                )
-        elif have != want:
-            failures.append(f"outputs differ on untouched branch {p}")
+        if not p.extends(branch):
+            if have != want:
+                failures.append(f"outputs differ on untouched branch {p}")
+            continue
+        missing = want.domain() - have.domain()
+        if missing or any(have.get(n) != w for n, w in want.entries):
+            failures.append(f"outputs at {p} do not extend the expected context")
+            continue
+        sub = Assignment(tuple(b for b in p.bindings if b not in branch.bindings))
+        payload = body if is_term else Return(lookup(body, sub))
+        expected = subtree_at(ty, sub)
+        try:
+            result, leftover = Checker(gateset).check_term(
+                TypingContext(labels=have.remove(want.domain())), payload
+            )
+        except TypeCheckError as exc:
+            failures.append(f"payload ill-typed on branch {sub}: {exc}")
+            continue
+        if leftover.linear_names() or leftover.labels:
+            failures.append(f"payload does not consume its labels on branch {sub}")
+        if not lifted_types_equal(result.type, expected):
+            failures.append(
+                f"payload on branch {sub} has type {format_lifted_type(result.type)}, "
+                f"expected {format_lifted_type(expected)}"
+            )
     return ConfigReport(not failures, failures)
-
-
-def _strip(p: Assignment, prefix: Assignment) -> Assignment:
-    out = p
-    for v, _ in prefix.bindings:
-        out = out.without(v)
-    return out
 
 
 def typecheck_closed_right_config(
@@ -624,14 +567,5 @@ def typecheck_closed_right_config(
 ) -> ConfigReport:
     """Right-configuration well-typedness for a computation that started from
     the empty circuit on the empty branch."""
-    return typecheck_right_config(
-        circuit,
-        value,
-        input_ctx=LabelContext(),
-        overall_tree=expected.tree,
-        future_tree=expected.tree,
-        branch=EMPTY_ASSIGNMENT,
-        ty=expected.type,
-        outputs=const(expected.tree, LabelContext()),
-        gateset=gateset,
-    )
+    return typecheck_config(circuit, EMPTY_ASSIGNMENT, value, expected.type,
+                            const(expected.tree, LabelContext()), gateset=gateset)

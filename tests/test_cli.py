@@ -222,6 +222,26 @@ class TestUsageErrors:
         assert "check" in out and "fuzz" in out
 
 
+class TestPathErrors:
+    """A path that cannot be read or written is a user error, not an internal one."""
+
+    def test_check_a_directory(self, capsys):
+        code, _, err = run_cli(capsys, "check", PROGRAMS)
+        assert code == 1
+        assert "internal error" not in err
+
+    def test_gateset_is_a_directory(self, capsys, monkeypatch):
+        monkeypatch.setenv("PQK_GATESET", str(PROGRAMS))
+        code, _, err = run_cli(capsys, "check", PROGRAMS / "teleport_box.pqk")
+        assert code == 1
+        assert "internal error" not in err
+
+    def test_emit_circuit_to_a_directory(self, tmp_path, capsys):
+        code, _, err = run_cli(capsys, "run", PROGRAMS / "one_way_run.pqk", "--emit-circuit", tmp_path)
+        assert code == 1
+        assert "internal error" not in err
+
+
 class TestClosedPipe:
     @pytest.mark.parametrize("unbuffered", [True, False])
     def test_reader_closing_stdout_is_not_an_internal_error(self, unbuffered):

@@ -191,14 +191,15 @@ def self_measuring_term():
 class TestFreshLabels:
     def test_shapes(self):
         from pqk.syntax import UNIT_TYPE, QUBIT_TYPE, BIT_TYPE, TensorType, Pair
-        from pqk.interp import EvalEnv, freshlabels
+        from pqk.circuit import fresh_labels_for
+        from pqk.interp import EvalEnv
 
         env = EvalEnv()
-        q, v = freshlabels(env, UNIT_TYPE)
+        q, v = fresh_labels_for(UNIT_TYPE, env.labels)
         assert not q and v == Unit()
-        q, v = freshlabels(env, QUBIT_TYPE)
+        q, v = fresh_labels_for(QUBIT_TYPE, env.labels)
         assert v == LabelVal("%0") and q.get("%0") is not None
-        q, v = freshlabels(env, TensorType(QUBIT_TYPE, BIT_TYPE))
+        q, v = fresh_labels_for(TensorType(QUBIT_TYPE, BIT_TYPE), env.labels)
         assert v == Pair(LabelVal("%1"), LabelVal("%2"))
         assert [n for n, _ in q.entries] == ["%1", "%2"]
 

@@ -35,6 +35,7 @@ from pqk.syntax import (
     Pair,
     QUBIT_TYPE,
     Return,
+    Term,
     Unit,
     UNIT_TYPE,
     Var,
@@ -334,26 +335,26 @@ class TestDeterminism:
 class TestConfigChecks:
     def test_trivial_left_config(self):
         from pqk.circuit import Circuit
-        from pqk.trees import EMPTY_ASSIGNMENT, EMPTY_TREE, const, leaf
-        from pqk.typecheck import typecheck_left_config
+        from pqk.trees import EMPTY_ASSIGNMENT, const, leaf
+        from pqk.typecheck import typecheck_config
         from pqk.syntax import Return, Unit, UNIT_TYPE
 
-        report = typecheck_left_config(
+        report = typecheck_config(
             Circuit(LabelContext()), EMPTY_ASSIGNMENT, Return(Unit()),
-            input_ctx=LabelContext(), past_tree=EMPTY_TREE, future_tree=EMPTY_TREE,
+            input_ctx=LabelContext(),
             ty=leaf(UNIT_TYPE), outputs=leaf(LabelContext()),
         )
         assert report.ok, report.failures
 
     def test_stale_branch_fails_first_conjunct(self):
         from pqk.circuit import Circuit
-        from pqk.trees import EMPTY_TREE, leaf
-        from pqk.typecheck import typecheck_left_config
+        from pqk.trees import leaf
+        from pqk.typecheck import typecheck_config
         from pqk.syntax import Return, Unit, UNIT_TYPE
 
-        report = typecheck_left_config(
+        report = typecheck_config(
             Circuit(LabelContext()), a(u=1), Return(Unit()),
-            input_ctx=LabelContext(), past_tree=EMPTY_TREE, future_tree=EMPTY_TREE,
+            input_ctx=LabelContext(),
             ty=leaf(UNIT_TYPE), outputs=leaf(LabelContext()),
         )
         assert not report.ok
@@ -372,16 +373,133 @@ class TestConfigChecks:
 
     def test_left_config_reports_term_type_mismatch(self):
         from pqk.circuit import Circuit
-        from pqk.trees import EMPTY_ASSIGNMENT, EMPTY_TREE, leaf
-        from pqk.typecheck import typecheck_left_config
+        from pqk.trees import EMPTY_ASSIGNMENT, leaf
+        from pqk.typecheck import typecheck_config
         from pqk.syntax import Return, Unit, QUBIT_TYPE
 
-        report = typecheck_left_config(
+        report = typecheck_config(
             Circuit(LabelContext()), EMPTY_ASSIGNMENT, Return(Unit()),
-            input_ctx=LabelContext(), past_tree=EMPTY_TREE, future_tree=EMPTY_TREE,
+            input_ctx=LabelContext(),
             ty=leaf(QUBIT_TYPE), outputs=leaf(LabelContext()),
         )
         assert not report.ok
+
+
+def closed_report(circuit_text, value, ty):
+    from pqk.parser import parse_circuit_text
+    from pqk.typecheck import typecheck_closed_right_config
+
+    return typecheck_closed_right_config(
+        parse_circuit_text(circuit_text), value, ComputationTyping(ty)
+    )
+
+
+def config_report(circuit_text, branch, body, ty, outputs):
+    from pqk.parser import parse_circuit_text
+    from pqk.typecheck import typecheck_config
+
+    return typecheck_config(parse_circuit_text(circuit_text), branch, body, ty, outputs)
+
+
+LIFT_U = "input(); Init0() -> q; Init0() -> k; Meas(q) -> b; lift(b) => u;"
+K_QUBIT = LabelContext.of({"k": QUBIT})
+SPLIT_UNIT = LiftedNode("u", leaf(UNIT_TYPE), leaf(UNIT_TYPE))
+
+
+class TestConfigConjuncts:
+    """Each conjunct of the configuration judgment fails on its own, as a
+    report line and not as an exception."""
+
+    @pytest.mark.parametrize("circuit, value, ty, text", [
+        ("input(); H(q) -> q2;", leaf(Unit()), leaf(UNIT_TYPE), "circuit has no signature"),
+        ("input(); Init0() -> q; Meas(q) -> b; lift(b) => u;", leaf(Unit()), leaf(UNIT_TYPE),
+         "circuit tree"),
+        ("input(l:Qubit);", leaf(LabelVal("l")), leaf(QUBIT_TYPE), "circuit input context mismatch"),
+        ("input();", leaf(LabelVal("l")), leaf(QUBIT_TYPE), "ill-typed on branch ()"),
+        ("input();", leaf(Unit()), leaf(QUBIT_TYPE), "has type Unit, expected Qubit"),
+        ("input(); Init0() -> q;", leaf(Unit()), leaf(UNIT_TYPE), "does not consume its labels"),
+        ("input();", leaf(Unit()), SPLIT_UNIT, "value tree _ differs from the future tree"),
+    ], ids=["no-signature", "circuit-tree", "input-context", "ill-typed", "wrong-type",
+            "unconsumed-labels", "value-tree"])
+    def test_closed_right_config(self, circuit, value, ty, text):
+        report = closed_report(circuit, value, ty)
+        assert not report.ok
+        assert any(text in line for line in report.failures), report.failures
+
+    def test_branch_is_not_a_path(self):
+        outputs = LiftedNode("u", leaf(K_QUBIT), leaf(K_QUBIT))
+        report = config_report(LIFT_U, a(w=0), leaf(Unit()), leaf(UNIT_TYPE), outputs)
+        assert not report.ok
+        assert "is not a path" in report.failures[0]
+
+    def test_term_on_a_node_of_the_past_tree(self):
+        outputs = LiftedNode("u", leaf(K_QUBIT), leaf(K_QUBIT))
+        report = config_report(LIFT_U, EMPTY_ASSIGNMENT, Return(Unit()), leaf(UNIT_TYPE), outputs)
+        assert not report.ok
+        assert "below branch ()" in report.failures[0]
+
+    def test_future_tree_reuses_a_live_lifted_variable(self):
+        outputs = LiftedNode("u", leaf(K_QUBIT), leaf(K_QUBIT))
+        report = config_report(LIFT_U, a(u=0), Return(Unit()), SPLIT_UNIT, outputs)
+        assert not report.ok
+        assert "reuses live lifted variables" in report.failures[0]
+
+    def test_outputs_do_not_extend_the_expected_context(self):
+        report = config_report("input();", EMPTY_ASSIGNMENT, Return(Unit()), leaf(UNIT_TYPE),
+                               leaf(K_QUBIT))
+        assert report.failures == ["outputs at () do not extend the expected context"]
+
+    def test_untouched_branch(self):
+        # on (u = 1) the term consumes k; (u = 0) keeps it
+        term = Return(LabelVal("k"))
+        kept = LiftedNode("u", leaf(K_QUBIT), leaf(LabelContext()))
+        assert config_report(LIFT_U, a(u=1), term, leaf(QUBIT_TYPE), kept).ok
+        dropped = LiftedNode("u", leaf(LabelContext()), leaf(LabelContext()))
+        report = config_report(LIFT_U, a(u=1), term, leaf(QUBIT_TYPE), dropped)
+        assert report.failures == ["outputs differ on untouched branch (u = 0)"]
+
+
+class TestConfigJudgmentOnRealConfigurations:
+    """Every well-typed program's root left configuration and the right
+    configuration its evaluation ends in are well typed."""
+
+    @staticmethod
+    def well_typed_terms():
+        terms = []
+        for path in sorted(PROGRAMS.glob("*.pqk")):
+            main = parse_program(path.read_text()).main
+            try:
+                if not isinstance(main, Term):
+                    continue
+                check_closed_term(main)
+            except TypeCheckError:
+                continue
+            terms.append((path.name, main))
+        from pqk.fuzz import GenConfig, gen_corpus
+
+        terms += [(f"corpus[{i}]", t) for i, t in enumerate(gen_corpus(GenConfig(seed=1), 200))]
+        return terms
+
+    def test_root_and_final_configurations(self):
+        from pqk.interp import Done, run_closed
+        from pqk.trees import const
+        from pqk.typecheck import typecheck_config
+
+        terms = self.well_typed_terms()
+        assert len(terms) > 200
+        done = 0
+        for name, term in terms:
+            ty = check_closed_term(term).type
+            root = typecheck_config(Circuit(LabelContext()), EMPTY_ASSIGNMENT, term, ty,
+                                    leaf(LabelContext()))
+            assert root.ok, (name, root.failures)
+            out = run_closed(term)
+            if isinstance(out, Done):
+                done += 1
+                final = typecheck_config(out.config.circuit, EMPTY_ASSIGNMENT, out.config.value, ty,
+                                         const(ty, LabelContext()))
+                assert final.ok, (name, final.failures)
+        assert done == len(terms)
 
 
 class TestBranchVariableReuse:
