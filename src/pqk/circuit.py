@@ -287,24 +287,25 @@ def _args(v: Value) -> str:
 
 @dataclass(frozen=True)
 class Circuit:
-    """An input header followed by instructions.
+    """An input header followed by instructions, over the gate set that types them.
 
-    A circuit carries its signature state, one per gate set it was checked
-    against (see `SignatureState`).  The state is computed at most once per
-    circuit object: by folding `extend_signature` over every instruction on
-    the first `check_signature`, or, for a circuit returned by `append`, by
-    extending the input circuit's state with only the appended instructions.
-    The carried states take no part in equality or hashing.
+    The gate set is fixed where the circuit is made (the parser, or the
+    evaluator's root and boxed circuits) and is kept by every circuit built
+    from this one.  A circuit carries one signature state (see
+    `SignatureState`), computed at most once per circuit object: by folding
+    `extend_signature` over every instruction on the first `check_signature`,
+    or, for a circuit returned by `append`, by extending the input circuit's
+    state with only the appended instructions.  Neither the gate set nor the
+    carried state takes part in equality or hashing.
     """
 
     input: LabelContext
     instructions: tuple[Instruction, ...] = ()
-    _carried: dict[GateSet, SignatureState] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+    gateset: GateSet = field(default=DEFAULT_GATES, repr=False, compare=False)
+    _carried: SignatureState | None = field(default=None, init=False, repr=False, compare=False)
 
     def extended(self, instr: Instruction) -> Circuit:
-        return Circuit(self.input, self.instructions + (instr,))
+        return Circuit(self.input, self.instructions + (instr,), self.gateset)
 
     def all_labels(self) -> dict[str, None]:
         """Every label of the circuit, in order of first occurrence."""
@@ -361,7 +362,7 @@ class SignatureState:
         return SignatureState(self.outputs, set(self.labels))
 
 
-def extend_signature(state: SignatureState, ins: Instruction, gateset: GateSet = DEFAULT_GATES) -> None:
+def extend_signature(state: SignatureState, ins: Instruction, gateset: GateSet) -> None:
     """Extend state in place by one instruction, or raise a specific CircuitError.
 
     This is one step of the signature fold.  It reads only the state, never
@@ -406,27 +407,28 @@ def extend_signature(state: SignatureState, ins: Instruction, gateset: GateSet =
     state.outputs = update_under(state.outputs, ins.cond, split)
 
 
-def _signature_state(c: Circuit, gateset: GateSet) -> SignatureState:
-    """c's carried state for gateset, folding its instructions on first use."""
-    state = c._carried.get(gateset)
+def _signature_state(c: Circuit) -> SignatureState:
+    """c's carried state, folding its instructions on first use."""
+    state = c._carried
     if state is None:
         state = SignatureState(leaf(c.input), set(c.input.domain()))
         for ins in c.instructions:
-            extend_signature(state, ins, gateset)
-        c._carried[gateset] = state
+            extend_signature(state, ins, c.gateset)
+        object.__setattr__(c, "_carried", state)
     return state
 
 
-def check_signature(c: Circuit, gateset: GateSet = DEFAULT_GATES) -> CircuitSignature:
+def check_signature(c: Circuit) -> CircuitSignature:
     """Derive the unique signature of c, or raise a specific CircuitError.
 
-    The signature is the fold of `extend_signature` over c's instructions.
+    The signature is the fold of `extend_signature` over c's instructions,
+    under c's gate set.
     c carries the result, so only the first call on a circuit object does
     that work (linear in c's length); later calls, and calls on a circuit
     that `append` returned, cost O(1).  A failed check carries nothing and
     raises again on every call.
     """
-    state = _signature_state(c, gateset)
+    state = _signature_state(c)
     return CircuitSignature(c.input, state.outputs)
 
 
@@ -453,7 +455,7 @@ def _rewrite(ins: Instruction, rho: Renaming, pi: Renaming, a: Assignment = EMPT
 
 def rename_circuit(c: Circuit, rho: Renaming = IDENTITY, pi: Renaming = IDENTITY) -> Circuit:
     """c with its labels renamed by rho and its lifted variables by pi."""
-    return Circuit(c.input.rename(rho), tuple(_rewrite(ins, rho, pi) for ins in c.instructions))
+    return Circuit(c.input.rename(rho), tuple(_rewrite(ins, rho, pi) for ins in c.instructions), c.gateset)
 
 
 # ---------------------------------------------------------------------------
@@ -542,7 +544,7 @@ def boxed_equiv(b1: BoxedCircuit, b2: BoxedCircuit) -> bool:
 def insert(c: Circuit, a: Assignment, d: Circuit) -> Circuit:
     """Append d's instructions to c, each condition unioned with a (C ::_a D)."""
     added = tuple(_rewrite(ins, IDENTITY, IDENTITY, a) for ins in d.instructions)
-    return Circuit(c.input, c.instructions + added)
+    return Circuit(c.input, c.instructions + added, c.gateset)
 
 
 class FreshLabels:
@@ -609,7 +611,6 @@ def append(
     target: Value,
     boxed: BoxedCircuit,
     fresh_vars: list[str],
-    gateset: GateSet = DEFAULT_GATES,
     labels: FreshLabels | None = None,
 ) -> tuple[Circuit, Lifted]:
     """Unbox `boxed` onto the wires `target` of c on branch a.
@@ -624,10 +625,11 @@ def append(
     the new circuit carries that state extended by the inserted instructions
     alone, so the signature work of an append is proportional to the boxed
     circuit, not to c (only copying c's instruction tuple and used-label set
-    is linear in c).  An inserted body that does not extend the signature
-    raises its CircuitError here.
+    is linear in c).  The inserted instructions are typed by c's gate set,
+    which the new circuit keeps.  An inserted body that does not extend the
+    signature raises its CircuitError here.
     """
-    state = _signature_state(c, gateset)
+    state = _signature_state(c)
     try:
         out_ctx = lookup(state.outputs, a)
     except InvalidBranch:
@@ -675,8 +677,8 @@ def append(
     out = insert(c, a, instance.circuit)
     extended = state.copy()
     for ins in out.instructions[len(c.instructions):]:
-        extend_signature(extended, ins, gateset)
-    out._carried[gateset] = extended
+        extend_signature(extended, ins, c.gateset)
+    object.__setattr__(out, "_carried", extended)
     return out, instance.out_tuples
 
 

@@ -27,7 +27,7 @@ from .errors import PqkError, PqkSyntaxError
 from .fuzz import GenConfig, run_fuzz
 from .interp import DEFAULT_FUEL, Done, EvalEnv, FuelExhausted, Stuck, run_closed
 from .parser import parse_circuit_text, parse_mtype_text, parse_program
-from .simulator import QuantumState, branch_distribution, parse_init_spec
+from .simulator import DEFAULT_MAX_QUBITS, QuantumState, branch_distribution, parse_init_spec
 from .syntax import (
     Term,
     format_lifted_type,
@@ -76,11 +76,10 @@ def _load_program(path: str, gateset: GateSet):
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    gateset = load_gateset()
-    program = _load_program(args.file, gateset)
+    program = _load_program(args.file, load_gateset())
     main = program.main
     if isinstance(main, Term):
-        result = check_closed_term(main, gateset)
+        result = check_closed_term(main)
         if args.json:
             payload = {
                 "kind": "term",
@@ -94,7 +93,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         else:
             print(result)
     else:
-        ty = check_closed_value(main, gateset)
+        ty = check_closed_value(main)
         if args.json:
             print(json.dumps({"kind": "value", "type": format_type(ty)}, indent=2))
         else:
@@ -109,7 +108,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     if not isinstance(main, Term):
         print("error: program is a value; nothing to evaluate", file=sys.stderr)
         return EXIT_USER
-    check_closed_term(main, gateset)
+    check_closed_term(main)
     env = EvalEnv(fuel=args.fuel, gateset=gateset)
     outcome = run_closed(main, env)
     if isinstance(outcome, FuelExhausted):
@@ -149,7 +148,7 @@ def _circuit_from_file(path: str, gateset: GateSet, fuel: int):
     program = _load_program(path, gateset)
     if not isinstance(program.main, Term):
         raise PqkError("program is a value; it builds no circuit")
-    check_closed_term(program.main, gateset)
+    check_closed_term(program.main)
     outcome = run_closed(program.main, EvalEnv(fuel=fuel, gateset=gateset))
     if not isinstance(outcome, Done):
         raise PqkError("program did not finish building a circuit")
@@ -159,14 +158,10 @@ def _circuit_from_file(path: str, gateset: GateSet, fuel: int):
 def cmd_sim(args: argparse.Namespace) -> int:
     if args.shots < 1:
         raise PqkError(f"--shots must be at least 1, got {args.shots}")
-    gateset = load_gateset()
-    circuit = _circuit_from_file(args.file, gateset, args.fuel)
+    circuit = _circuit_from_file(args.file, load_gateset(), args.fuel)
     spec = parse_init_spec(args.init) if args.init else None
     init = QuantumState.product(circuit.input, spec)
-    counts = branch_distribution(
-        circuit, init, shots=args.shots, seed=args.seed,
-        gateset=gateset, max_qubits=args.max_qubits,
-    )
+    counts = branch_distribution(circuit, init, shots=args.shots, seed=args.seed, max_qubits=args.max_qubits)
     if args.json:
         payload = {
             "shots": args.shots,
@@ -185,8 +180,7 @@ def _path_key(path) -> str:
 
 
 def cmd_circuit(args: argparse.Namespace) -> int:
-    gateset = load_gateset()
-    circuit = _circuit_from_file(args.file, gateset, args.fuel)
+    circuit = _circuit_from_file(args.file, load_gateset(), args.fuel)
     if args.dot:
         with open(args.dot, "w") as fh:
             fh.write(circuit_to_dot(circuit))
@@ -194,7 +188,7 @@ def cmd_circuit(args: argparse.Namespace) -> int:
         with open(args.crl, "w") as fh:
             fh.write(format_circuit(circuit) + "\n")
     if args.json:
-        sig = check_signature(circuit, gateset)
+        sig = check_signature(circuit)
         print(json.dumps({"circuit": circuit_to_json(circuit),
                           "signature": signature_to_json(sig)}, indent=2))
     elif not (args.dot or args.crl):
@@ -248,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--init", default="", help="e.g. q=0,a=+ (for .crl inputs)")
     p.add_argument("--fuel", type=int, default=DEFAULT_FUEL)
-    p.add_argument("--max-qubits", type=int, default=20)
+    p.add_argument("--max-qubits", type=int, default=DEFAULT_MAX_QUBITS)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_sim)
 

@@ -14,9 +14,8 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .circuit import DEFAULT_GATES, GateSet
 from .errors import TypeCheckError
-from .interp import Done, EvalEnv, FuelExhausted, Stuck, run_closed
+from .interp import DEFAULT_FUEL, Done, EvalEnv, FuelExhausted, Stuck, run_closed
 from .parser import boxed_from_circuit, parse_circuit_text
 from .syntax import (
     App,
@@ -104,7 +103,6 @@ DEFAULT_WEIGHTS = {
 class GenConfig:
     seed: int = 0
     max_depth: int = 6
-    gateset: GateSet = DEFAULT_GATES
     weights: dict[str, float] = field(default_factory=lambda: dict(DEFAULT_WEIGHTS))
 
 
@@ -192,7 +190,7 @@ class Generator:
         return value, ty
 
     def _box_type(self, box: Boxed) -> PqkType:
-        ty, _ = Checker(self.cfg.gateset).check_value(EMPTY_TYPING_CONTEXT, box)
+        ty, _ = Checker().check_value(EMPTY_TYPING_CONTEXT, box)
         return ty
 
     def _qubit_vars(self, res: dict[str, PqkType]) -> list[str]:
@@ -374,7 +372,7 @@ def gen_corpus(cfg: GenConfig, count: int) -> list[Term]:
     for _ in range(count):
         gen = Generator(cfg, rng)
         term = gen.gen_closed(cfg.max_depth)
-        check_closed_term(term, cfg.gateset)
+        check_closed_term(term)
         corpus.append(term)
     return corpus
 
@@ -388,41 +386,38 @@ def count_lifting_applies(term) -> int:
 # Property checks
 
 
-def check_sr(term: Term, gateset: GateSet = DEFAULT_GATES,
-             env_factory=None, shrink: bool = True) -> Finding | None:
+def check_sr(term: Term, fuel: int = DEFAULT_FUEL, shrink: bool = True) -> Finding | None:
     """Subject reduction: a Done result re-typechecks at the static typing."""
-    expected = check_closed_term(term, gateset)
-    env = env_factory() if env_factory else EvalEnv(gateset=gateset)
-    return _sr_verdict(term, expected, run_closed(term, env), gateset, env_factory, shrink)
+    expected = check_closed_term(term)
+    return _sr_verdict(term, expected, run_closed(term, EvalEnv(fuel=fuel)), fuel, shrink)
 
 
-def _sr_verdict(term: Term, expected, outcome, gateset, env_factory, shrink: bool) -> Finding | None:
+def _sr_verdict(term: Term, expected, outcome, fuel: int, shrink: bool) -> Finding | None:
     """check_sr's verdict on the typing and the outcome of term."""
     if not isinstance(outcome, Done):
         return None  # FuelExhausted is not an SR counterexample; Stuck is progress's
-    report = typecheck_closed_right_config(outcome.config.circuit, outcome.config.value,
-                                           expected, gateset)
+    report = typecheck_closed_right_config(outcome.config.circuit, outcome.config.value, expected)
     if report.ok:
         return None
     if shrink:
-        term = shrink_finding(term, _violated(lambda t: check_sr(t, gateset, env_factory, shrink=False)))
+        term = shrink_finding(term, _violated(lambda t: check_sr(t, fuel, shrink=False)))
     return Finding(format_term(term), "subject-reduction", "; ".join(report.failures))
 
 
-def check_progress(term: Term, fuel: int = 10**6, gateset: GateSet = DEFAULT_GATES) -> Finding | None:
+def check_progress(term: Term, fuel: int = DEFAULT_FUEL) -> Finding | None:
     """Progress: evaluation of a well-typed program is never Stuck."""
-    check_closed_term(term, gateset)
-    return _progress_verdict(term, run_closed(term, EvalEnv(fuel=fuel, gateset=gateset)), fuel, gateset)
+    check_closed_term(term)
+    return _progress_verdict(term, run_closed(term, EvalEnv(fuel=fuel)), fuel)
 
 
-def _progress_verdict(term: Term, outcome, fuel: int, gateset, shrink: bool = True) -> Finding | None:
+def _progress_verdict(term: Term, outcome, fuel: int, shrink: bool = True) -> Finding | None:
     """check_progress's verdict on the outcome of the well-typed term."""
     if not isinstance(outcome, Stuck):
         return None
     if shrink:
         def verdict(t: Term) -> Finding | None:
-            check_closed_term(t, gateset)
-            return _progress_verdict(t, run_closed(t, EvalEnv(fuel=fuel, gateset=gateset)), fuel, gateset, False)
+            check_closed_term(t)
+            return _progress_verdict(t, run_closed(t, EvalEnv(fuel=fuel)), fuel, False)
 
         return verdict(shrink_finding(term, _violated(verdict)))  # evaluation is deterministic
     return Finding(format_term(term), "progress", f"stuck: {outcome.reason}")
@@ -519,7 +514,7 @@ class FuzzReport:
         return not self.sr_findings and not self.progress_findings
 
 
-def run_fuzz(cfg: GenConfig, count: int, fuel: int = 10**6) -> FuzzReport:
+def run_fuzz(cfg: GenConfig, count: int, fuel: int = DEFAULT_FUEL) -> FuzzReport:
     """Generate count programs and check subject reduction and progress on each.
 
     Each program is type-checked and evaluated once; both verdicts read that
@@ -530,18 +525,17 @@ def run_fuzz(cfg: GenConfig, count: int, fuel: int = 10**6) -> FuzzReport:
     progress: list[Finding] = []
     exhausted = 0
     with_lifts = 0
-    env_factory = lambda: EvalEnv(fuel=fuel, gateset=cfg.gateset)
     for term in corpus:
         if count_lifting_applies(term) > 0:
             with_lifts += 1
-        expected = check_closed_term(term, cfg.gateset)
-        outcome = run_closed(term, env_factory())
+        expected = check_closed_term(term)
+        outcome = run_closed(term, EvalEnv(fuel=fuel))
         if isinstance(outcome, FuelExhausted):
             exhausted += 1
-        finding = _sr_verdict(term, expected, outcome, cfg.gateset, env_factory, shrink=True)
+        finding = _sr_verdict(term, expected, outcome, fuel, shrink=True)
         if finding:
             sr.append(finding)
-        finding = _progress_verdict(term, outcome, fuel, cfg.gateset)
+        finding = _progress_verdict(term, outcome, fuel)
         if finding:
             progress.append(finding)
     return FuzzReport(count, sr, progress, exhausted, with_lifts / max(count, 1))

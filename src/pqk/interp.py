@@ -89,7 +89,9 @@ EvalOutcome = Done | FuelExhausted | Stuck
 
 @dataclass
 class EvalEnv:
-    """Mutable per-evaluation state: fuel, the fresh-label counter and findings."""
+    """Mutable per-evaluation state: fuel, the fresh-label counter and findings,
+    and the gate set of the circuits the evaluation makes (its root circuit and
+    each boxed one)."""
 
     fuel: int = DEFAULT_FUEL
     labels: FreshLabels = field(default_factory=FreshLabels)
@@ -133,7 +135,7 @@ def eval_config(cfg: LeftConfig, env: EvalEnv) -> EvalOutcome:
             m.value.body,
             leaf(App(Var("#box"), in_tuple)),
         )
-        outcome = eval_config(LeftConfig(Circuit(q), EMPTY_ASSIGNMENT, sandbox_term), env)
+        outcome = eval_config(LeftConfig(Circuit(q, gateset=env.gateset), EMPTY_ASSIGNMENT, sandbox_term), env)
         if isinstance(outcome, (FuelExhausted, Stuck)):
             return outcome
         inner = outcome.config
@@ -150,7 +152,7 @@ def eval_config(cfg: LeftConfig, env: EvalEnv) -> EvalOutcome:
         try:
             circuit, out_tuples = append(
                 cfg.circuit, cfg.branch, m.arg, m.boxed.boxed,
-                list(m.vars), env.gateset, env.labels,
+                list(m.vars), env.labels,
             )
         except CircuitError as exc:
             return Stuck(f"AppendPrecondition: {exc}", cfg)
@@ -191,4 +193,5 @@ def eval_config(cfg: LeftConfig, env: EvalEnv) -> EvalOutcome:
 
 def run_closed(m: Term, env: EvalEnv | None = None) -> EvalOutcome:
     """Evaluate a closed program from the empty circuit on the empty branch."""
-    return eval_config(LeftConfig(Circuit(LabelContext()), EMPTY_ASSIGNMENT, m), env or EvalEnv())
+    env = env or EvalEnv()
+    return eval_config(LeftConfig(Circuit(LabelContext(), gateset=env.gateset), EMPTY_ASSIGNMENT, m), env)

@@ -442,7 +442,7 @@ class _Parser:
         circuit = self.parse_circuit_body("}")
         self.expect("}")
         try:
-            return boxed_from_circuit(circuit, self.gateset)
+            return boxed_from_circuit(circuit)
         except CircuitError as exc:
             raise PqkSyntaxError(f"invalid circuit literal: {exc}", start.line, start.col) from exc
 
@@ -459,7 +459,7 @@ class _Parser:
                     break
         self.expect(")")
         self.expect(";")
-        circuit = Circuit(LabelContext.of(entries))
+        circuit = Circuit(LabelContext.of(entries), gateset=self.gateset)
         while not (self.peek().kind == "eof" or (stop is not None and self.at(stop))):
             circuit = circuit.extended(self.parse_instruction())
         return circuit
@@ -522,14 +522,14 @@ class _Parser:
         return LabelVal(name.text)
 
 
-def boxed_from_circuit(circuit: Circuit, gateset: GateSet = DEFAULT_GATES) -> BoxedCircuit:
+def boxed_from_circuit(circuit: Circuit) -> BoxedCircuit:
     """Boxed-circuit layout convention for crl literals.
 
     The input tuple takes the input header's labels in declaration order; each
     branch's output tuple orders its labels by first introduction in the
     circuit text.
     """
-    sig = check_signature(circuit, gateset)
+    sig = check_signature(circuit)
     rank: dict[str, int] = {}
     for name, _ in circuit.input.entries:
         rank[name] = len(rank)
@@ -567,7 +567,7 @@ def parse_value(src: str, gateset: GateSet = DEFAULT_GATES) -> Value:
     return parsed
 
 
-def _parse_whole(src: str, gateset: GateSet, parse: Callable[[_Parser], Any]) -> Any:
+def _parse_whole(src: str, parse: Callable[[_Parser], Any], gateset: GateSet = DEFAULT_GATES) -> Any:
     """parse all of src: what parse reads, followed by the end of input."""
     p = _Parser(src, gateset)
     out = parse(p)
@@ -578,13 +578,13 @@ def _parse_whole(src: str, gateset: GateSet, parse: Callable[[_Parser], Any]) ->
 
 
 def parse_circuit_text(src: str, gateset: GateSet = DEFAULT_GATES) -> Circuit:
-    """Standalone textual CRL circuit: input header then instructions."""
-    return _parse_whole(src, gateset, lambda p: p.parse_circuit_body(stop=None))
+    """Standalone textual CRL circuit: input header then instructions, over gateset."""
+    return _parse_whole(src, lambda p: p.parse_circuit_body(stop=None), gateset)
 
 
-def parse_type_text(src: str, gateset: GateSet = DEFAULT_GATES) -> PqkType:
-    return _parse_whole(src, gateset, _Parser.parse_type)
+def parse_type_text(src: str) -> PqkType:
+    return _parse_whole(src, _Parser.parse_type)
 
 
 def parse_mtype_text(src: str) -> PqkType:
-    return _parse_whole(src, DEFAULT_GATES, _Parser.parse_mtype)
+    return _parse_whole(src, _Parser.parse_mtype)

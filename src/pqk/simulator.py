@@ -28,9 +28,7 @@ from .circuit import (
     QUBIT,
     Circuit,
     CircuitSignature,
-    DEFAULT_GATES,
     GateApp,
-    GateSet,
     LabelContext,
     LiftInstr,
     check_signature,
@@ -231,7 +229,6 @@ def branch_states(
     init: QuantumState | None = None,
     shots: int | None = None,
     seed: int | np.random.Generator = 0,
-    gateset: GateSet = DEFAULT_GATES,
     max_qubits: int = DEFAULT_MAX_QUBITS,
 ) -> list[RunTrace]:
     """The outcome branches of c, from one walk over its instructions.
@@ -248,18 +245,17 @@ def branch_states(
     branches returned hold every shot, and at most min(shots, outcome
     branches) of them are ever live.
     """
-    return _walk(c, check_signature(c, gateset), init, shots, seed, max_qubits)
+    return _walk(c, check_signature(c), init, shots, seed, max_qubits)
 
 
 def simulate(
     c: Circuit,
     init: QuantumState | None = None,
     seed: int | np.random.Generator = 0,
-    gateset: GateSet = DEFAULT_GATES,
     max_qubits: int = DEFAULT_MAX_QUBITS,
 ) -> RunTrace:
     """Execute one run of c, sampling measurement outcomes: the one-shot walk."""
-    (trace,) = branch_states(c, init, 1, seed, gateset, max_qubits)
+    (trace,) = branch_states(c, init, 1, seed, max_qubits)
     return trace
 
 
@@ -268,7 +264,6 @@ def branch_distribution(
     init: QuantumState | None = None,
     shots: int = 1024,
     seed: int = 0,
-    gateset: GateSet = DEFAULT_GATES,
     max_qubits: int = DEFAULT_MAX_QUBITS,
 ) -> dict[Assignment, int]:
     """Shot counts per path of the lifting tree, zero counts included.
@@ -276,7 +271,7 @@ def branch_distribution(
     The counts have the law of that many independent runs: a multinomial
     over the paths with their exact Born probabilities.
     """
-    sig = check_signature(c, gateset)
+    sig = check_signature(c)
     counts: dict[Assignment, int] = {p: 0 for p in path_set(sig.outputs)}
     for trace in _walk(c, sig, init, shots, seed, max_qubits):
         counts[trace.path] += trace.shots

@@ -17,6 +17,7 @@ from typing import Iterable, Mapping
 
 from . import circuit as crl  # used at call time only: circuit imports this module's classes
 from . import trees
+from .errors import CircuitError
 from .trees import (
     Lifted,
     LiftedLeaf,
@@ -702,7 +703,7 @@ def format_boxed(b: crl.BoxedCircuit) -> str:
         if boxed_from_circuit(b.circuit) == b:
             body = crl.format_circuit(b.circuit).replace("\n", " ")
             return f"crl {{ {body} }}"
-    except Exception:
+    except CircuitError:
         pass
     return f"<boxed {b.in_tuple} -> {_format_lifted(b.out_tuples, str)} of {{{crl.format_circuit(b.circuit)}}}>"
 

@@ -127,9 +127,6 @@ class Renaming:
     def inverse(self) -> Renaming:
         return Renaming({v: k for k, v in self._perm.items()})
 
-    def support(self) -> frozenset[str]:
-        return frozenset(self._perm)
-
     def __repr__(self) -> str:
         inner = ", ".join(f"{v}/{k}" for k, v in sorted(self._perm.items()))
         return f"Renaming({inner})"

@@ -14,8 +14,6 @@ from typing import Mapping
 from .circuit import (
     BoxedCircuit,
     Circuit,
-    DEFAULT_GATES,
-    GateSet,
     LabelContext,
     check_signature,
     type_mvalue,
@@ -143,10 +141,9 @@ class ComputationTyping:
 
 
 class Checker:
-    """One type-checking run (holds the gate set and consumption diagnostics)."""
+    """One type-checking run (holds the consumption diagnostics)."""
 
-    def __init__(self, gateset: GateSet = DEFAULT_GATES):
-        self.gateset = gateset
+    def __init__(self):
         self._consumed_vars: set[str] = set()
         self._consumed_labels: set[str] = set()
 
@@ -215,7 +212,7 @@ class Checker:
 
     def _check_boxed(self, b: BoxedCircuit, span=None) -> CircType:
         try:
-            sig = check_signature(b.circuit, self.gateset)
+            sig = check_signature(b.circuit)
         except CircuitError as exc:
             raise TypeCheckError(KIND_SIGNATURE, f"boxed circuit has no signature: {exc}",
                                  rule="circ", span=span) from exc
@@ -420,17 +417,16 @@ class Checker:
 # Public entry points
 
 
-def type_value(ctx: TypingContext, v: Value, gateset: GateSet = DEFAULT_GATES):
-    return Checker(gateset).check_value(ctx, v)
+def type_value(ctx: TypingContext, v: Value):
+    return Checker().check_value(ctx, v)
 
 
-def type_term(ctx: TypingContext, m: Term, gateset: GateSet = DEFAULT_GATES):
-    return Checker(gateset).check_term(ctx, m)
+def type_term(ctx: TypingContext, m: Term):
+    return Checker().check_term(ctx, m)
 
 
-def type_lifted_term(ctx: TypingContext, mu: Lifted, expected_tree: Lifted | None = None,
-                     gateset: GateSet = DEFAULT_GATES):
-    return Checker(gateset).check_lifted_term(ctx, mu, expected_tree)
+def type_lifted_term(ctx: TypingContext, mu: Lifted, expected_tree: Lifted | None = None):
+    return Checker().check_lifted_term(ctx, mu, expected_tree)
 
 
 def _require_duplicable(leftover: TypingContext, what: str):
@@ -440,15 +436,15 @@ def _require_duplicable(leftover: TypingContext, what: str):
         )
 
 
-def check_closed_term(m: Term, gateset: GateSet = DEFAULT_GATES) -> ComputationTyping:
+def check_closed_term(m: Term) -> ComputationTyping:
     """Well-typedness of a closed program; only parameter entries may be left over."""
-    result, leftover = type_term(EMPTY_TYPING_CONTEXT, m, gateset)
+    result, leftover = type_term(EMPTY_TYPING_CONTEXT, m)
     _require_duplicable(leftover, "program")
     return result
 
 
-def check_closed_value(v: Value, gateset: GateSet = DEFAULT_GATES) -> PqkType:
-    ty, leftover = type_value(EMPTY_TYPING_CONTEXT, v, gateset)
+def check_closed_value(v: Value) -> PqkType:
+    ty, leftover = type_value(EMPTY_TYPING_CONTEXT, v)
     _require_duplicable(leftover, "value")
     return ty
 
@@ -457,7 +453,7 @@ def check_closed_value(v: Value, gateset: GateSet = DEFAULT_GATES) -> PqkType:
 # M-judgment bridge
 
 
-def mjudgment_bridge(q: LabelContext, v: Value, gateset: GateSet = DEFAULT_GATES) -> PqkType:
+def mjudgment_bridge(q: LabelContext, v: Value) -> PqkType:
     """The M-type of a closed value typed at an M-type, by the circuit
     language's judgment Q |= v : T.
 
@@ -493,7 +489,6 @@ def typecheck_config(
     outputs: Lifted,
     *,
     input_ctx: LabelContext = LabelContext(),
-    gateset: GateSet = DEFAULT_GATES,
 ) -> ConfigReport:
     """Configuration well-typedness, reported conjunct by conjunct.
 
@@ -520,7 +515,7 @@ def typecheck_config(
         failures.append(f"value tree {body.tree()} differs from the future tree {future}")
         return ConfigReport(False, failures)
     try:
-        sig = check_signature(circuit, gateset)
+        sig = check_signature(circuit)
     except CircuitError as exc:
         failures.append(f"circuit has no signature: {exc}")
         return ConfigReport(False, failures)
@@ -543,7 +538,7 @@ def typecheck_config(
         payload = body if is_term else Return(lookup(body, sub))
         expected = subtree_at(ty, sub)
         try:
-            result, leftover = Checker(gateset).check_term(
+            result, leftover = Checker().check_term(
                 TypingContext(labels=have.remove(want.domain())), payload
             )
         except TypeCheckError as exc:
@@ -563,9 +558,8 @@ def typecheck_closed_right_config(
     circuit: Circuit,
     value: Lifted,
     expected: ComputationTyping,
-    gateset: GateSet = DEFAULT_GATES,
 ) -> ConfigReport:
     """Right-configuration well-typedness for a computation that started from
     the empty circuit on the empty branch."""
     return typecheck_config(circuit, EMPTY_ASSIGNMENT, value, expected.type,
-                            const(expected.tree, LabelContext()), gateset=gateset)
+                            const(expected.tree, LabelContext()))

@@ -185,6 +185,18 @@ class TestGateSetEnv:
         assert code == 0
         assert "Qubit * Qubit" in out
 
+    @pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+    def test_boxed_value_prints_as_a_crl_literal(self, tmp_path, capsys, monkeypatch, flags):
+        path = tmp_path / "gates.json"
+        path.write_text(json.dumps({"SWAP": {"in": "Qubit * Qubit", "out": "Qubit * Qubit"}}))
+        monkeypatch.setenv("PQK_GATESET", str(path))
+        src = tmp_path / "prog.pqk"
+        src.write_text("circuit SW = crl { input(a:Qubit, b:Qubit); SWAP(a, b) -> (c, d); } return SW")
+        code, out, _ = run_cli(capsys, "run", src, *flags)
+        assert code == 0
+        assert "crl { input(a:Qubit, b:Qubit); SWAP(a, b) -> (c, d); }" in out
+        assert "<boxed" not in out
+
     def test_custom_gateset_rejects_default_extensions(self, tmp_path, capsys, monkeypatch):
         path = tmp_path / "gates.json"
         path.write_text(json.dumps({"H": {"in": "Qubit", "out": "Qubit"}}))

@@ -125,12 +125,12 @@ class TestRunFuzzOnce:
         sr, progress, exhausted = [], [], 0
         corpus = gen_corpus(cfg, count)
         for term in corpus:
-            outcome = run_closed(term, EvalEnv(fuel=fuel, gateset=cfg.gateset))
+            outcome = run_closed(term, EvalEnv(fuel=fuel))
             exhausted += isinstance(outcome, FuelExhausted)
-            f = check_sr(term, cfg.gateset, env_factory=lambda: EvalEnv(fuel=fuel, gateset=cfg.gateset))
+            f = check_sr(term, fuel)
             if f:
                 sr.append(f)
-            f = check_progress(term, fuel, cfg.gateset)
+            f = check_progress(term, fuel)
             if f:
                 progress.append(f)
         with_lifts = sum(1 for t in corpus if count_lifting_applies(t) > 0)

@@ -95,9 +95,9 @@ class TestBasics:
         exotic = GateSet([Gate("Sqrt", QUBIT_TYPE, QUBIT_TYPE)] + [
             DEFAULT_GATES.get(n) for n in DEFAULT_GATES.names()
         ])
-        c = parse_circuit_text("input(q:Qubit); Sqrt(q) -> q2;")
+        c = parse_circuit_text("input(q:Qubit); Sqrt(q) -> q2;", exotic)
         with pytest.raises(UnsupportedGate):
-            simulate(c, gateset=exotic)
+            simulate(c)
 
     def test_init_spec_parsing(self):
         assert parse_init_spec("q=0, a=+") == {"q": "0", "a": "+"}
