@@ -289,9 +289,9 @@ def _args(v: Value) -> str:
 class Circuit:
     """An input header followed by instructions, over the gate set that types them.
 
-    The gate set is fixed where the circuit is made (the parser, or the
-    evaluator's root and boxed circuits) and is kept by every circuit built
-    from this one.  A circuit carries one signature state (see
+    The parser fixes a `crl` literal's gate set, and a circuit built from
+    another keeps its set, except that `append` onto a circuit with no
+    instructions takes the body's.  A circuit carries one signature state (see
     `SignatureState`), computed at most once per circuit object: by folding
     `extend_signature` over every instruction on the first `check_signature`,
     or, for a circuit returned by `append`, by extending the input circuit's
@@ -542,9 +542,10 @@ def boxed_equiv(b1: BoxedCircuit, b2: BoxedCircuit) -> bool:
 
 
 def insert(c: Circuit, a: Assignment, d: Circuit) -> Circuit:
-    """Append d's instructions to c, each condition unioned with a (C ::_a D)."""
+    """Append d's instructions to c, each condition unioned with a (C ::_a D),
+    under c's gate set, or d's if c has no instructions (none to type)."""
     added = tuple(_rewrite(ins, IDENTITY, IDENTITY, a) for ins in d.instructions)
-    return Circuit(c.input, c.instructions + added, c.gateset)
+    return Circuit(c.input, c.instructions + added, c.gateset if c.instructions else d.gateset)
 
 
 class FreshLabels:
@@ -625,10 +626,15 @@ def append(
     the new circuit carries that state extended by the inserted instructions
     alone, so the signature work of an append is proportional to the boxed
     circuit, not to c (only copying c's instruction tuple and used-label set
-    is linear in c).  The inserted instructions are typed by c's gate set,
-    which the new circuit keeps.  An inserted body that does not extend the
+    is linear in c).  The new circuit's gate set (see `insert`) types the
+    inserted instructions; a non-empty body under another set object is a
+    precondition failure.  An inserted body that does not extend the
     signature raises its CircuitError here.
     """
+    body = boxed.circuit
+    if c.instructions and body.instructions and body.gateset is not c.gateset:
+        raise PreconditionViolated(
+            f"the boxed circuit's gate set {body.gateset.names()} is not the circuit's {c.gateset.names()}")
     state = _signature_state(c)
     try:
         out_ctx = lookup(state.outputs, a)
@@ -657,7 +663,7 @@ def append(
     # step 1: relabel the boxed circuit onto the target wires, everything else fresh
     # (the target labels are live, so they are among the used labels)
     mapping = match_tuples(boxed.in_tuple, target)
-    boxed_labels = boxed.circuit.all_labels()
+    boxed_labels = body.all_labels()
     if labels is None:
         labels = FreshLabels.above(state.labels, boxed_labels)
     for name in sorted(boxed_labels.keys() | mvalue_labels(boxed.in_tuple)):
@@ -677,7 +683,7 @@ def append(
     out = insert(c, a, instance.circuit)
     extended = state.copy()
     for ins in out.instructions[len(c.instructions):]:
-        extend_signature(extended, ins, c.gateset)
+        extend_signature(extended, ins, out.gateset)
     object.__setattr__(out, "_carried", extended)
     return out, instance.out_tuples
 

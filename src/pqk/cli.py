@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 1 user error (syntax, typing, simulation, a path that
 cannot be read or written), 2 internal invariant failure.  Set PQK_GATESET to
-a JSON file to replace the default gate set for check/run/sim/circuit (the
-fuzzer always uses the default set).
+a JSON file to replace the default gate set that check/run/sim/circuit parse
+their input under (the fuzzer always uses the default set).
 """
 
 from __future__ import annotations
@@ -69,15 +69,14 @@ def load_gateset() -> GateSet:
     return GateSet(gates)
 
 
-def _load_program(path: str, gateset: GateSet):
+def _load_program(path: str):
+    gateset = load_gateset()
     with open(path) as fh:
-        source = fh.read()
-    return parse_program(source, gateset)
+        return parse_program(fh.read(), gateset)
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    program = _load_program(args.file, load_gateset())
-    main = program.main
+    main = _load_program(args.file).main
     if isinstance(main, Term):
         result = check_closed_term(main)
         if args.json:
@@ -102,14 +101,12 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    gateset = load_gateset()
-    program = _load_program(args.file, gateset)
-    main = program.main
+    main = _load_program(args.file).main
     if not isinstance(main, Term):
         print("error: program is a value; nothing to evaluate", file=sys.stderr)
         return EXIT_USER
     check_closed_term(main)
-    env = EvalEnv(fuel=args.fuel, gateset=gateset)
+    env = EvalEnv(fuel=args.fuel)
     outcome = run_closed(main, env)
     if isinstance(outcome, FuelExhausted):
         print("error: fuel exhausted", file=sys.stderr)
@@ -141,15 +138,16 @@ def cmd_run(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _circuit_from_file(path: str, gateset: GateSet, fuel: int):
+def _circuit_from_file(path: str, fuel: int):
     if path.endswith(".crl"):
+        gateset = load_gateset()
         with open(path) as fh:
             return parse_circuit_text(fh.read(), gateset)
-    program = _load_program(path, gateset)
-    if not isinstance(program.main, Term):
+    main = _load_program(path).main
+    if not isinstance(main, Term):
         raise PqkError("program is a value; it builds no circuit")
-    check_closed_term(program.main)
-    outcome = run_closed(program.main, EvalEnv(fuel=fuel, gateset=gateset))
+    check_closed_term(main)
+    outcome = run_closed(main, EvalEnv(fuel=fuel))
     if not isinstance(outcome, Done):
         raise PqkError("program did not finish building a circuit")
     return outcome.config.circuit
@@ -158,7 +156,7 @@ def _circuit_from_file(path: str, gateset: GateSet, fuel: int):
 def cmd_sim(args: argparse.Namespace) -> int:
     if args.shots < 1:
         raise PqkError(f"--shots must be at least 1, got {args.shots}")
-    circuit = _circuit_from_file(args.file, load_gateset(), args.fuel)
+    circuit = _circuit_from_file(args.file, args.fuel)
     spec = parse_init_spec(args.init) if args.init else None
     init = QuantumState.product(circuit.input, spec)
     counts = branch_distribution(circuit, init, shots=args.shots, seed=args.seed, max_qubits=args.max_qubits)
@@ -180,7 +178,7 @@ def _path_key(path) -> str:
 
 
 def cmd_circuit(args: argparse.Namespace) -> int:
-    circuit = _circuit_from_file(args.file, load_gateset(), args.fuel)
+    circuit = _circuit_from_file(args.file, args.fuel)
     if args.dot:
         with open(args.dot, "w") as fh:
             fh.write(circuit_to_dot(circuit))
@@ -197,6 +195,8 @@ def cmd_circuit(args: argparse.Namespace) -> int:
 
 
 def cmd_fuzz(args: argparse.Namespace) -> int:
+    if args.count < 0:
+        raise PqkError(f"--count must be at least 0, got {args.count}")
     cfg = GenConfig(seed=args.seed, max_depth=args.depth)
     report = run_fuzz(cfg, args.count, fuel=args.fuel)
     payload = {

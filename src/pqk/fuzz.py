@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from .errors import TypeCheckError
@@ -87,7 +87,7 @@ def _parsed_seed_boxes() -> tuple[tuple[str, Boxed], ...]:
     )
 
 
-DEFAULT_WEIGHTS = {
+MOVE_WEIGHTS = {
     "finish": 1.0,
     "let_apply": 2.5,
     "let_general": 1.0,
@@ -103,7 +103,6 @@ DEFAULT_WEIGHTS = {
 class GenConfig:
     seed: int = 0
     max_depth: int = 6
-    weights: dict[str, float] = field(default_factory=lambda: dict(DEFAULT_WEIGHTS))
 
 
 @dataclass
@@ -148,8 +147,7 @@ class Generator:
             moves.append("force")
         if self._callable_arrows(res):
             moves.append("call")
-        weights = [self.cfg.weights.get(m, 1.0) for m in moves]
-        move = self.rng.choices(moves, weights)[0]
+        move = self.rng.choices(moves, [MOVE_WEIGHTS[m] for m in moves])[0]
         if move == "finish":
             return self.finish(res)
         if move == "let_apply":

@@ -13,9 +13,7 @@ from dataclasses import dataclass, field
 from .circuit import (
     BoxedCircuit,
     Circuit,
-    DEFAULT_GATES,
     FreshLabels,
-    GateSet,
     LabelContext,
     append,
     fresh_labels_for,
@@ -89,13 +87,12 @@ EvalOutcome = Done | FuelExhausted | Stuck
 
 @dataclass
 class EvalEnv:
-    """Mutable per-evaluation state: fuel, the fresh-label counter and findings,
-    and the gate set of the circuits the evaluation makes (its root circuit and
-    each boxed one)."""
+    """Mutable per-evaluation state: fuel, the fresh-label counter and findings.
+    The circuits it makes start empty and take the gate set of the first body
+    appended to them (see `append`), which is that of the program's literals."""
 
     fuel: int = DEFAULT_FUEL
     labels: FreshLabels = field(default_factory=FreshLabels)
-    gateset: GateSet = DEFAULT_GATES
     findings: list[str] = field(default_factory=list)
 
 
@@ -135,7 +132,7 @@ def eval_config(cfg: LeftConfig, env: EvalEnv) -> EvalOutcome:
             m.value.body,
             leaf(App(Var("#box"), in_tuple)),
         )
-        outcome = eval_config(LeftConfig(Circuit(q, gateset=env.gateset), EMPTY_ASSIGNMENT, sandbox_term), env)
+        outcome = eval_config(LeftConfig(Circuit(q), EMPTY_ASSIGNMENT, sandbox_term), env)
         if isinstance(outcome, (FuelExhausted, Stuck)):
             return outcome
         inner = outcome.config
@@ -194,4 +191,4 @@ def eval_config(cfg: LeftConfig, env: EvalEnv) -> EvalOutcome:
 def run_closed(m: Term, env: EvalEnv | None = None) -> EvalOutcome:
     """Evaluate a closed program from the empty circuit on the empty branch."""
     env = env or EvalEnv()
-    return eval_config(LeftConfig(Circuit(LabelContext(), gateset=env.gateset), EMPTY_ASSIGNMENT, m), env)
+    return eval_config(LeftConfig(Circuit(LabelContext()), EMPTY_ASSIGNMENT, m), env)

@@ -165,8 +165,6 @@ class _Parser:
         tok = self.peek()
         if tok.kind != "ident" or tok.text in KEYWORDS:
             raise PqkSyntaxError(f"expected {what}, found {tok.text!r}", tok.line, tok.col)
-        if tok.text.startswith("%") or tok.text.startswith("#"):  # pragma: no cover
-            raise PqkSyntaxError(f"names may not start with {tok.text[0]}", tok.line, tok.col)
         return self.next()
 
     def expect_label(self) -> Token:

@@ -1,5 +1,6 @@
-"""A circuit carries the gate set it was made under: only the code that makes
-circuits takes one, and every later judgment reads it off the circuit."""
+"""A circuit carries the gate set it was made under: only the parser (which
+makes `crl` literals) takes one, and every later judgment, the evaluator
+included, reads it off the circuits."""
 
 from __future__ import annotations
 
@@ -10,25 +11,22 @@ from importlib import import_module
 
 import pqk
 from pqk.circuit import DEFAULT_GATES, Gate, GateSet, check_signature, rename_circuit
-from pqk.interp import Done, EvalEnv, run_closed
-from pqk.parser import parse_program
-from pqk.syntax import QUBIT_TYPE, TensorType, format_value
+from pqk.interp import Done, Stuck, run_closed
+from pqk.parser import parse_program, parse_term, parse_value
+from pqk.syntax import QUBIT_TYPE, TensorType, format_value, substitute
 from pqk.trees import leaves
 from pqk.typecheck import check_closed_term
 
-# The entry points that make circuits, and the signature fold step.
+# The carried field, the signature fold step and the parser's entry points.
 TAKES_A_GATESET = {
     "circuit.Circuit.gateset",
     "circuit.extend_signature",
-    "interp.EvalEnv.gateset",
     "parser._Parser.__init__",
     "parser._parse_whole",
     "parser.parse_program",
     "parser.parse_term",
     "parser.parse_value",
     "parser.parse_circuit_text",
-    "cli._load_program",
-    "cli._circuit_from_file",
 }
 
 _Q2 = TensorType(QUBIT_TYPE, QUBIT_TYPE)
@@ -76,7 +74,7 @@ def test_checker_evaluator_and_signature_read_the_carried_set():
     main = parse_program(SWAP_PROGRAM, WITH_SWAP).main
     typing = check_closed_term(main)
     assert str(typing) == "(_, (Qubit * Qubit) * Circ[_](Qubit * Qubit, Qubit * Qubit))"
-    outcome = run_closed(main, EvalEnv(gateset=WITH_SWAP))
+    outcome = run_closed(main)
     assert isinstance(outcome, Done)
     circuit = outcome.config.circuit
     assert [ins.gate for ins in circuit.instructions] == ["Init0", "Init0", "SWAP"]
@@ -86,3 +84,16 @@ def test_checker_evaluator_and_signature_read_the_carried_set():
     assert check_signature(rename_circuit(circuit)) == sig
     (value,) = leaves(outcome.config.value)
     assert format_value(value.right) == "crl { input(a:Qubit, b:Qubit); SWAP(a, b) -> (c, d); }"
+
+
+def test_a_body_under_another_set_is_an_append_precondition():
+    # A non-empty circuit under the default set meets a body parsed under
+    # WITH_SWAP: only a library caller mixing two parses can build this.
+    sw = parse_value("crl { input(a:Qubit, b:Qubit); SWAP(a, b) -> (c, d); }", WITH_SWAP)
+    term = parse_term(
+        "let a = apply(crl { input(); Init0() -> q; }, *) in "
+        "let b = apply(crl { input(); Init0() -> q; }, *) in apply(s, (a, b))"
+    )
+    outcome = run_closed(substitute(term, sw, "s"))
+    assert isinstance(outcome, Stuck)
+    assert outcome.reason.startswith("AppendPrecondition: the boxed circuit's gate set")

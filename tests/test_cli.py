@@ -15,6 +15,16 @@ from pqk.parser import parse_circuit_text, parse_type_text
 
 PROGRAMS = pathlib.Path(__file__).resolve().parent.parent / "programs"
 
+# Boxes a function that applies a SWAP literal, then applies the box.
+SWAP_BOX_PROGRAM = """
+circuit INIT = crl { input(); Init0() -> q; }
+circuit SW = crl { input(a:Qubit, b:Qubit); SWAP(a, b) -> (c, d); }
+let s = box[Qubit * Qubit] (lift return fun (p : Qubit * Qubit) -> apply(SW, p)) in
+let a = apply(INIT, *) in
+let b = apply(INIT, *) in
+apply(s, (a, b))
+"""
+
 
 def run_cli(capsys, *argv):
     code = main([str(a) for a in argv])
@@ -118,6 +128,12 @@ class TestSim:
         assert code == 1
         assert "--shots" in err
 
+    def test_fuzz_rejects_negative_count(self, capsys):
+        code, out, err = run_cli(capsys, "fuzz", "--count", "-5")
+        assert code == 1
+        assert "--count" in err
+        assert out == ""
+
 
 class TestCircuit:
     def test_render_is_pure_observer(self, tmp_path, capsys):
@@ -196,6 +212,22 @@ class TestGateSetEnv:
         assert code == 0
         assert "crl { input(a:Qubit, b:Qubit); SWAP(a, b) -> (c, d); }" in out
         assert "<boxed" not in out
+
+    @pytest.mark.parametrize("command", ["run", "circuit"])
+    def test_boxed_swap_is_applied(self, tmp_path, capsys, monkeypatch, command):
+        # The evaluator's root and boxed circuits take the set of the `crl`
+        # literals they receive; no gate set is passed to the evaluation.
+        path = tmp_path / "gates.json"
+        path.write_text(json.dumps({
+            "Init0": {"in": "Unit", "out": "Qubit"},
+            "SWAP": {"in": "Qubit * Qubit", "out": "Qubit * Qubit"},
+        }))
+        monkeypatch.setenv("PQK_GATESET", str(path))
+        src = tmp_path / "prog.pqk"
+        src.write_text(SWAP_BOX_PROGRAM)
+        code, out, err = run_cli(capsys, command, src)
+        assert code == 0, err
+        assert "SWAP(" in out
 
     def test_custom_gateset_rejects_default_extensions(self, tmp_path, capsys, monkeypatch):
         path = tmp_path / "gates.json"
