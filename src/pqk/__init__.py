@@ -19,12 +19,11 @@ from .circuit import (
     GateSet,
     LabelContext,
     append,
-    boxed_equiv,
     check_signature,
     insert,
 )
 from .errors import PqkError, PqkSyntaxError, TypeCheckError
-from .fuzz import GenConfig, check_progress, check_sr, gen_corpus, gen_well_typed, run_fuzz
+from .fuzz import GenConfig, check_progress, check_sr, gen_corpus, run_fuzz
 from .interp import Done, EvalEnv, FuelExhausted, LeftConfig, RightConfig, Stuck, run_closed
 from .parser import (
     boxed_from_circuit,

@@ -52,7 +52,6 @@ from .trees import (
     leaf,
     lookup,
     map_leaves,
-    preorder_vars,
     rename_lifted,
     update_under,
     var_set,
@@ -466,8 +465,8 @@ def rename_circuit(c: Circuit, rho: Renaming = IDENTITY, pi: Renaming = IDENTITY
 class BoxedCircuit:
     """First-class circuit datum: input tuple, circuit, branch-indexed output tuples.
 
-    The lifted variables of the tree are binding occurrences; boxed circuits
-    are compared up to their renaming (and label renaming, via boxed_equiv).
+    The lifted variables of the tree are binding occurrences: `append`
+    instantiates them with fresh variables at every use.
     """
 
     in_tuple: Value  # a label tuple
@@ -495,46 +494,6 @@ def rename_boxed(b: BoxedCircuit, rho: Renaming = IDENTITY, pi: Renaming = IDENT
         rename_circuit(b.circuit, rho, pi),
         rename_lifted(map_leaves(b.out_tuples, lambda v: rename_mvalue(v, rho)), pi),
     )
-
-
-def _canonical_vars(b: BoxedCircuit) -> Renaming:
-    """Renaming of the abstracted lifted variables to a canonical sequence.
-
-    Order: lift-instruction order in the circuit, then tree pre-order for any
-    variable not introduced by a lift.
-    """
-    lifted_order: dict[str, None] = {}
-    for ins in b.circuit.instructions:
-        if isinstance(ins, LiftInstr):
-            lifted_order.setdefault(ins.var)
-    for v in preorder_vars(b.out_tuples):
-        lifted_order.setdefault(v)
-    return Renaming({v: f"~v{i}" for i, v in enumerate(lifted_order)})
-
-
-def canonicalize_boxed_vars(b: BoxedCircuit) -> BoxedCircuit:
-    """b with its abstracted lifted variables renamed to a canonical sequence."""
-    return rename_boxed(b, pi=_canonical_vars(b))
-
-
-def canonical_boxed(b: BoxedCircuit) -> BoxedCircuit:
-    """Canonical representative of b's equivalence class.
-
-    Lifted variables are canonicalized and, in the same rebuild, labels are
-    renamed in first-occurrence order over (in_tuple, input context,
-    instructions, out tuples); that order does not depend on the variables.
-    """
-    order = dict.fromkeys(mvalue_labels(b.in_tuple))
-    order.update(b.circuit.all_labels())
-    for v in trees.leaves(b.out_tuples):
-        order.update(dict.fromkeys(mvalue_labels(v)))
-    rho = Renaming({n: f"~l{i}" for i, n in enumerate(order)})
-    return rename_boxed(b, rho, _canonical_vars(b))
-
-
-def boxed_equiv(b1: BoxedCircuit, b2: BoxedCircuit) -> bool:
-    """True when b1 and b2 differ only by a renaming of labels (trees up to alpha)."""
-    return canonical_boxed(b1) == canonical_boxed(b2)
 
 
 # ---------------------------------------------------------------------------
@@ -701,29 +660,12 @@ def mvalue_to_json(v: Value) -> Any:
     return [mvalue_to_json(v.left), mvalue_to_json(v.right)]
 
 
-def mvalue_from_json(data: Any) -> Value:
-    if data is None:
-        return Unit()
-    if isinstance(data, str):
-        return LabelVal(data)
-    left, right = data
-    return Pair(mvalue_from_json(left), mvalue_from_json(right))
-
-
 def context_to_json(q: LabelContext) -> Any:
     return {n: str(w) for n, w in q.entries}
 
 
-def context_from_json(data: Any) -> LabelContext:
-    return LabelContext.of({n: WireType(w) for n, w in data.items()})
-
-
 def assignment_to_json(a: Assignment) -> Any:
     return {v: b for v, b in a.bindings}
-
-
-def assignment_from_json(data: Any) -> Assignment:
-    return Assignment.of({v: int(b) for v, b in data.items()})
 
 
 def circuit_to_json(c: Circuit) -> Any:
@@ -745,17 +687,6 @@ def circuit_to_json(c: Circuit) -> Any:
                 "var": ins.var,
             })
     return out
-
-
-def circuit_from_json(data: Any) -> Circuit:
-    instrs: list[Instruction] = []
-    for ins in data["instructions"]:
-        cond = assignment_from_json(ins["cond"])
-        if ins["kind"] == "gate":
-            instrs.append(GateApp(cond, ins["gate"], mvalue_from_json(ins["in"]), mvalue_from_json(ins["out"])))
-        else:
-            instrs.append(LiftInstr(cond, ins["wire"], ins["var"]))
-    return Circuit(context_from_json(data["input"]), tuple(instrs))
 
 
 def signature_to_json(sig: CircuitSignature) -> Any:

@@ -1,7 +1,8 @@
 """Command-line interface: check / run / sim / circuit / fuzz.
 
 Exit codes: 0 success, 1 user error (syntax, typing, simulation, a path that
-cannot be read or written), 2 internal invariant failure.  Set PQK_GATESET to
+cannot be read or written, a program nested deeper than the recursion limit
+allows), 2 internal invariant failure.  Set PQK_GATESET to
 a JSON file to replace the default gate set that check/run/sim/circuit parse
 their input under (the fuzzer always uses the default set).
 """
@@ -284,6 +285,11 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USER
     except (PqkError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USER
+    except RecursionError:
+        # The parser, checker and evaluator recurse once per `let`.
+        limit = sys.getrecursionlimit()
+        print(f"error: program nested too deeply (Python's recursion limit is {limit})", file=sys.stderr)
         return EXIT_USER
     except Exception as exc:  # pragma: no cover - defensive
         print(f"internal error: {exc!r}", file=sys.stderr)

@@ -117,7 +117,6 @@ KIND_BRANCH_ARITY = "BranchArityMismatch"
 KIND_LIFTED_VAR_NOT_FRESH = "LiftedVarNotFresh"
 KIND_NON_PARAMETER_UNDER_LIFT = "NonParameterUnderLift"
 KIND_FLATTEN_CLASH = "FlattenClash"
-KIND_NOT_AN_MVALUE = "NotAnMValue"
 KIND_TYPE_MISMATCH = "TypeMismatch"
 KIND_UNBOUND_LABEL = "UnboundLabel"
 KIND_SIGNATURE = "SignatureError"

@@ -359,11 +359,6 @@ class Generator:
 # Corpus generation
 
 
-def gen_well_typed(cfg: GenConfig) -> Term:
-    """One closed, checker-accepted program; the post-check is asserted."""
-    return gen_corpus(cfg, 1)[0]
-
-
 def gen_corpus(cfg: GenConfig, count: int) -> list[Term]:
     rng = random.Random(cfg.seed)
     corpus = []

@@ -4,8 +4,8 @@ Values are syntactically separated from (effectful) terms, and computation
 types are lifted objects over types.  The first-order types Unit, Bit, Qubit
 and `*` (the M-types) and the values `*`, labels and pairs of them (the label
 tuples) are also the circuit language's types and tuples.  Also here:
-free-variable collection, capture-avoiding substitution, alpha-equivalence
-and the pretty printer.
+free-variable collection, capture-avoiding substitution, type equality up
+to renaming and the pretty printer.
 """
 
 from __future__ import annotations
@@ -527,73 +527,6 @@ def types_equal(a: PqkType, b: PqkType) -> bool:
 
 def lifted_types_equal(a: Lifted, b: Lifted) -> bool:
     return _lifted_equal(a, b, types_equal)
-
-
-def alpha_equiv(a, b) -> bool:
-    """Equality up to renaming of bound term variables and of the lifted
-    variables abstracted by boxed circuits / Circ types."""
-    if isinstance(a, PqkType) and isinstance(b, PqkType):
-        return types_equal(a, b)
-    return _alpha(a, b, {}, {}, [0])
-
-
-def _alpha(a, b, ea: dict, eb: dict, depth: list[int]) -> bool:
-    if type(a) is not type(b):
-        return False
-
-    def bind(xa: str, xb: str):
-        depth[0] += 1
-        ea2 = dict(ea)
-        eb2 = dict(eb)
-        ea2[xa] = depth[0]
-        eb2[xb] = depth[0]
-        return ea2, eb2
-
-    if isinstance(a, Unit):
-        return True
-    if isinstance(a, Var):
-        return ea.get(a.name) == eb.get(b.name) and (a.name in ea or a.name == b.name)
-    if isinstance(a, LabelVal):
-        return a.name == b.name
-    if isinstance(a, Lam):
-        if not types_equal(a.ann, b.ann):
-            return False
-        ea2, eb2 = bind(a.var, b.var)
-        return _alpha(a.body, b.body, ea2, eb2, depth)
-    if isinstance(a, LiftV):
-        return _alpha(a.body, b.body, ea, eb, depth)
-    if isinstance(a, Boxed):
-        return crl.canonicalize_boxed_vars(a.boxed) == crl.canonicalize_boxed_vars(b.boxed)
-    if isinstance(a, Pair):
-        return _alpha(a.left, b.left, ea, eb, depth) and _alpha(a.right, b.right, ea, eb, depth)
-    if isinstance(a, App):
-        return _alpha(a.fn, b.fn, ea, eb, depth) and _alpha(a.arg, b.arg, ea, eb, depth)
-    if isinstance(a, Let):
-        if not _alpha(a.bound, b.bound, ea, eb, depth):
-            return False
-        ea2, eb2 = bind(a.var, b.var)
-        return _lifted_equal(a.branches, b.branches, lambda m, n: _alpha(m, n, ea2, eb2, depth))
-    if isinstance(a, LetPair):
-        if not _alpha(a.value, b.value, ea, eb, depth):
-            return False
-        ea2, eb2 = bind(a.var1, b.var1)
-        d2 = depth[0] + 1
-        depth[0] = d2
-        ea2[a.var2] = d2
-        eb2[b.var2] = d2
-        return _alpha(a.body, b.body, ea2, eb2, depth)
-    if isinstance(a, Force):
-        return _alpha(a.value, b.value, ea, eb, depth)
-    if isinstance(a, Box):
-        return a.mtype == b.mtype and _alpha(a.value, b.value, ea, eb, depth)
-    if isinstance(a, Apply):
-        return (
-            a.vars == b.vars
-            and _alpha(a.boxed, b.boxed, ea, eb, depth)
-            and _alpha(a.arg, b.arg, ea, eb, depth)
-        )
-    assert isinstance(a, Return)
-    return _alpha(a.value, b.value, ea, eb, depth)
 
 
 # ---------------------------------------------------------------------------

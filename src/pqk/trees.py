@@ -124,9 +124,6 @@ class Renaming:
     def __call__(self, name: str) -> str:
         return self._perm.get(name, name)
 
-    def inverse(self) -> Renaming:
-        return Renaming({v: k for k, v in self._perm.items()})
-
     def __repr__(self) -> str:
         inner = ", ".join(f"{v}/{k}" for k, v in sorted(self._perm.items()))
         return f"Renaming({inner})"
@@ -451,12 +448,3 @@ def lifted_to_json(obj: Lifted, leaf_to_json: Callable[[Any], Any]) -> Any:
         "one": lifted_to_json(obj.one, leaf_to_json),
     }
 
-
-def lifted_from_json(data: Any, leaf_from_json: Callable[[Any], Any]) -> Lifted:
-    if "leaf" in data:
-        return LiftedLeaf(leaf_from_json(data["leaf"]))
-    return LiftedNode(
-        data["var"],
-        lifted_from_json(data["zero"], leaf_from_json),
-        lifted_from_json(data["one"], leaf_from_json),
-    )

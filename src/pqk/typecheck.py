@@ -26,7 +26,6 @@ from .errors import (
     KIND_LIFTED_VAR_NOT_FRESH,
     KIND_LINEARITY,
     KIND_NON_PARAMETER_UNDER_LIFT,
-    KIND_NOT_AN_MVALUE,
     KIND_SIGNATURE,
     KIND_TYPE_MISMATCH,
     KIND_UNBOUND_LABEL,
@@ -59,7 +58,6 @@ from .syntax import (
     WireT,
     format_lifted_type,
     free_labels,
-    is_label_tuple,
     is_mtype,
     is_parameter,
     lifted_types_equal,
@@ -425,10 +423,6 @@ def type_term(ctx: TypingContext, m: Term):
     return Checker().check_term(ctx, m)
 
 
-def type_lifted_term(ctx: TypingContext, mu: Lifted, expected_tree: Lifted | None = None):
-    return Checker().check_lifted_term(ctx, mu, expected_tree)
-
-
 def _require_duplicable(leftover: TypingContext, what: str):
     if leftover.linear_names() or leftover.labels:
         raise TypeCheckError(
@@ -447,25 +441,6 @@ def check_closed_value(v: Value) -> PqkType:
     ty, leftover = type_value(EMPTY_TYPING_CONTEXT, v)
     _require_duplicable(leftover, "value")
     return ty
-
-
-# ---------------------------------------------------------------------------
-# M-judgment bridge
-
-
-def mjudgment_bridge(q: LabelContext, v: Value) -> PqkType:
-    """The M-type of a closed value typed at an M-type, by the circuit
-    language's judgment Q |= v : T.
-
-    Closed values of M-type are syntactically label tuples; anything else
-    raises NotAnMValue.
-    """
-    if not is_label_tuple(v):
-        raise TypeCheckError(KIND_NOT_AN_MVALUE, f"{v} is not a label tuple", rule="m-bridge")
-    try:
-        return type_mvalue(q, v)
-    except CircuitError as exc:
-        raise TypeCheckError(KIND_NOT_AN_MVALUE, str(exc), rule="m-bridge") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,9 @@
 The map-view operations manipulate the path-map view (Assignment -> payload)
 directly and never touch the tree recursion they are used to check.  The dense
 simulator enumerates measurement outcomes with full Kronecker-product matrices
-and never touches pqk.simulator's axis bookkeeping.
+and never touches pqk.simulator's axis bookkeeping.  The canonical form of a
+boxed circuit compares results with hand-written listings up to renaming, and
+the JSON decoders read back what the command line writes.
 """
 
 from __future__ import annotations
@@ -14,9 +16,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from pqk.circuit import Circuit, CircuitSignature, LiftInstr, mvalue_labels
-
+from pqk.circuit import (
+    DEFAULT_GATES,
+    BoxedCircuit,
+    Circuit,
+    CircuitSignature,
+    GateApp,
+    GateSet,
+    LabelContext,
+    LiftInstr,
+    mvalue_labels,
+    rename_boxed,
+)
 from pqk.errors import InvalidBranch
+from pqk.syntax import LabelVal, Pair, Unit, Value, WireType
 from pqk.trees import (
     EMPTY_ASSIGNMENT,
     EMPTY_TREE,
@@ -29,8 +42,10 @@ from pqk.trees import (
     Sub,
     all_vars,
     is_consistent,
+    leaves,
     map_leaves,
     path_set,
+    preorder_vars,
     rename_lifted,
     to_map,
 )
@@ -98,6 +113,88 @@ def graft_map(t: Lifted, a: Assignment, r: Lifted):
 def rename_signature(sig: CircuitSignature, rho: Renaming = IDENTITY, pi: Renaming = IDENTITY) -> CircuitSignature:
     """sig with its labels renamed by rho and its lifted variables by pi."""
     return CircuitSignature(sig.input.rename(rho), rename_lifted(map_leaves(sig.outputs, lambda q: q.rename(rho)), pi))
+
+
+# ---------------------------------------------------------------------------
+# Boxed circuits up to renaming of labels and abstracted lifted variables
+
+
+def _canonical_vars(b: BoxedCircuit) -> Renaming:
+    """Renaming of the abstracted lifted variables to a canonical sequence.
+
+    Order: lift-instruction order in the circuit, then tree pre-order for any
+    variable not introduced by a lift.
+    """
+    lifted_order: dict[str, None] = {}
+    for ins in b.circuit.instructions:
+        if isinstance(ins, LiftInstr):
+            lifted_order.setdefault(ins.var)
+    for v in preorder_vars(b.out_tuples):
+        lifted_order.setdefault(v)
+    return Renaming({v: f"~v{i}" for i, v in enumerate(lifted_order)})
+
+
+def canonical_boxed(b: BoxedCircuit) -> BoxedCircuit:
+    """Canonical representative of b's equivalence class.
+
+    Lifted variables are canonicalized and, in the same rebuild, labels are
+    renamed in first-occurrence order over (in_tuple, input context,
+    instructions, out tuples); that order does not depend on the variables.
+    """
+    order = dict.fromkeys(mvalue_labels(b.in_tuple))
+    order.update(b.circuit.all_labels())
+    for v in leaves(b.out_tuples):
+        order.update(dict.fromkeys(mvalue_labels(v)))
+    rho = Renaming({n: f"~l{i}" for i, n in enumerate(order)})
+    return rename_boxed(b, rho, _canonical_vars(b))
+
+
+def boxed_equiv(b1: BoxedCircuit, b2: BoxedCircuit) -> bool:
+    """True when b1 and b2 differ only by a renaming of labels (trees up to alpha)."""
+    return canonical_boxed(b1) == canonical_boxed(b2)
+
+
+# ---------------------------------------------------------------------------
+# JSON decoders: the inverses of pqk's *_to_json encoders
+
+
+def lifted_from_json(data, leaf_from_json) -> Lifted:
+    if "leaf" in data:
+        return LiftedLeaf(leaf_from_json(data["leaf"]))
+    return LiftedNode(
+        data["var"],
+        lifted_from_json(data["zero"], leaf_from_json),
+        lifted_from_json(data["one"], leaf_from_json),
+    )
+
+
+def mvalue_from_json(data) -> Value:
+    if data is None:
+        return Unit()
+    if isinstance(data, str):
+        return LabelVal(data)
+    left, right = data
+    return Pair(mvalue_from_json(left), mvalue_from_json(right))
+
+
+def context_from_json(data) -> LabelContext:
+    return LabelContext.of({n: WireType(w) for n, w in data.items()})
+
+
+def assignment_from_json(data) -> Assignment:
+    return Assignment.of({v: int(b) for v, b in data.items()})
+
+
+def circuit_from_json(data, gateset: GateSet = DEFAULT_GATES) -> Circuit:
+    """The circuit `circuit_to_json` encoded, typed under gateset."""
+    instrs = []
+    for ins in data["instructions"]:
+        cond = assignment_from_json(ins["cond"])
+        if ins["kind"] == "gate":
+            instrs.append(GateApp(cond, ins["gate"], mvalue_from_json(ins["in"]), mvalue_from_json(ins["out"])))
+        else:
+            instrs.append(LiftInstr(cond, ins["wire"], ins["var"]))
+    return Circuit(context_from_json(data["input"]), tuple(instrs), gateset=gateset)
 
 
 # ---------------------------------------------------------------------------

@@ -9,13 +9,18 @@ import inspect
 import pkgutil
 from importlib import import_module
 
+import pytest
+
 import pqk
-from pqk.circuit import DEFAULT_GATES, Gate, GateSet, check_signature, rename_circuit
+from pqk.circuit import DEFAULT_GATES, Gate, GateSet, check_signature, circuit_to_json, rename_circuit
+from pqk.errors import UnknownGate
 from pqk.interp import Done, Stuck, run_closed
-from pqk.parser import parse_program, parse_term, parse_value
+from pqk.parser import parse_circuit_text, parse_program, parse_term, parse_value
 from pqk.syntax import QUBIT_TYPE, TensorType, format_value, substitute
 from pqk.trees import leaves
 from pqk.typecheck import check_closed_term
+
+from oracles import circuit_from_json
 
 # The carried field, the signature fold step and the parser's entry points.
 TAKES_A_GATESET = {
@@ -97,3 +102,14 @@ def test_a_body_under_another_set_is_an_append_precondition():
     outcome = run_closed(substitute(term, sw, "s"))
     assert isinstance(outcome, Stuck)
     assert outcome.reason.startswith("AppendPrecondition: the boxed circuit's gate set")
+
+
+def test_json_decoder_reads_back_under_the_given_set():
+    c = parse_circuit_text("input(a:Qubit, b:Qubit); SWAP(a, b) -> (c, d);", WITH_SWAP)
+    data = circuit_to_json(c)
+    back = circuit_from_json(data, WITH_SWAP)
+    assert back == c
+    assert back.gateset is WITH_SWAP
+    assert check_signature(back) == check_signature(c)
+    with pytest.raises(UnknownGate):
+        check_signature(circuit_from_json(data))

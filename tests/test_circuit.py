@@ -15,9 +15,7 @@ from pqk.circuit import (
     LabelContext,
     LiftInstr,
     append,
-    boxed_equiv,
     check_signature,
-    circuit_from_json,
     circuit_to_dot,
     circuit_to_json,
     format_circuit,
@@ -53,7 +51,7 @@ from pqk.trees import (
 )
 
 from circuit_gen import random_circuit
-from oracles import rename_signature
+from oracles import boxed_equiv, canonical_boxed, circuit_from_json, rename_signature
 
 
 def a(**kw):
@@ -377,8 +375,6 @@ class TestMTuple:
 
 class TestCanonicalForm:
     def test_canonical_is_fixpoint(self):
-        from pqk.circuit import canonical_boxed
-
         for box in (hadamard_box(), meas_lift_box(), identity_box()):
             canon = canonical_boxed(box)
             assert canonical_boxed(canon) == canon

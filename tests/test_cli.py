@@ -10,8 +10,10 @@ import pytest
 
 import pqk
 from pqk.cli import main
-from pqk.circuit import circuit_from_json
-from pqk.parser import parse_circuit_text, parse_type_text
+from pqk.interp import run_closed
+from pqk.parser import parse_circuit_text, parse_program, parse_type_text
+
+from oracles import circuit_from_json
 
 PROGRAMS = pathlib.Path(__file__).resolve().parent.parent / "programs"
 
@@ -24,6 +26,17 @@ let a = apply(INIT, *) in
 let b = apply(INIT, *) in
 apply(s, (a, b))
 """
+
+
+# A straight-line program of 400 `let`s: deeper than the parser, checker and
+# evaluator can recurse at the default recursion limit.
+DEEP_CHAIN_PROGRAM = "\n".join(
+    ["circuit INIT = crl { input(); Init0() -> q; }",
+     "circuit HAD = crl { input(l:Qubit); H(l) -> l2; }",
+     "let q = apply(INIT, *) in"]
+    + ["let q = apply(HAD, q) in"] * 400
+    + ["return q"]
+)
 
 
 def run_cli(capsys, *argv):
@@ -83,6 +96,8 @@ class TestRun:
         assert payload["value"]["var"] == "u"
         circuit = circuit_from_json(payload["circuit"])
         assert any(ins["kind"] == "lift" for ins in payload["circuit"]["instructions"])
+        program = parse_program((PROGRAMS / "one_way_run.pqk").read_text())
+        assert circuit == run_closed(program.main).config.circuit
 
     def test_emit_circuit_files(self, tmp_path, capsys):
         crl = tmp_path / "out.crl"
@@ -251,6 +266,17 @@ class TestGateSetEnv:
         assert code == 1
         assert "internal error" not in err
         assert str(path) in err and "gate set" in err
+
+
+class TestDepthLimit:
+    @pytest.mark.parametrize("command", ["check", "run", "sim", "circuit"])
+    def test_deep_program_is_user_error(self, tmp_path, capsys, command):
+        deep = tmp_path / "deep.pqk"
+        deep.write_text(DEEP_CHAIN_PROGRAM)
+        code, _, err = run_cli(capsys, command, deep)
+        assert code == 1
+        assert err.startswith("error: program nested too deeply")
+        assert "internal error" not in err
 
 
 class TestUsageErrors:

@@ -47,6 +47,23 @@ def test_no_second_copy_or_translation():
         assert not defined & (m_classes | gone), module.__name__
 
 
+# Names that only tests called; the JSON decoders and the canonical form of a
+# boxed circuit live on as reference code in tests/oracles.py.
+TEST_ONLY = {
+    "alpha_equiv", "_alpha", "canonicalize_boxed_vars", "mjudgment_bridge",
+    "KIND_NOT_AN_MVALUE", "type_lifted_term", "gen_well_typed",
+    "circuit_from_json", "mvalue_from_json", "context_from_json",
+    "assignment_from_json", "lifted_from_json",
+    "canonical_boxed", "boxed_equiv", "_canonical_vars",
+}
+
+
+def test_no_test_only_code_in_the_library():
+    for module in [pqk, *_modules()]:
+        assert not vars(module).keys() & TEST_ONLY, module.__name__
+    assert not hasattr(pqk.trees.Renaming, "inverse")
+
+
 def test_str_of_a_value_is_its_surface_text():
     v = Pair(Pair(LabelVal("a"), Unit()), LabelVal("b"))
     assert str(v) == format_value(v) == "((a, *), b)"

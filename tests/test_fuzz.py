@@ -11,7 +11,6 @@ from pqk.fuzz import (
     check_sr,
     count_lifting_applies,
     gen_corpus,
-    gen_well_typed,
     run_fuzz,
     seed_boxes,
     shrink_candidates,
@@ -29,7 +28,7 @@ PROGRAMS = pathlib.Path(__file__).resolve().parent.parent / "programs"
 
 class TestGeneration:
     def test_depth_one_is_trivial(self):
-        term = gen_well_typed(GenConfig(seed=5, max_depth=0))
+        term = gen_corpus(GenConfig(seed=5, max_depth=0), 1)[0]
         assert isinstance(term, Return)
 
     def test_generated_programs_typecheck(self):

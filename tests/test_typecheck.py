@@ -10,6 +10,8 @@ from pqk.circuit import (
     Circuit,
     GateApp,
     LabelContext,
+    mtuple,
+    type_mvalue,
 )
 from pqk.errors import (
     KIND_BRANCH_ARITY,
@@ -18,7 +20,6 @@ from pqk.errors import (
     KIND_LIFTED_VAR_NOT_FRESH,
     KIND_LINEARITY,
     KIND_NON_PARAMETER_UNDER_LIFT,
-    KIND_NOT_AN_MVALUE,
     KIND_TYPE_MISMATCH,
     KIND_UNBOUND_VAR,
     TypeCheckError,
@@ -43,13 +44,12 @@ from pqk.syntax import (
 )
 from pqk.trees import EMPTY_ASSIGNMENT, EMPTY_TREE, Assignment, LiftedNode, leaf, lookup
 from pqk.typecheck import (
+    Checker,
     ComputationTyping,
     EMPTY_TYPING_CONTEXT,
     TypingContext,
     check_closed_term,
     check_closed_value,
-    mjudgment_bridge,
-    type_lifted_term,
     type_term,
     type_value,
 )
@@ -265,7 +265,7 @@ class TestTerms:
 class TestLiftedJudgments:
     def test_single_leaf_behaves_as_type_term(self):
         mu = leaf(Return(Unit()))
-        results, leftover = type_lifted_term(EMPTY_TYPING_CONTEXT, mu)
+        results, leftover = Checker().check_lifted_term(EMPTY_TYPING_CONTEXT, mu)
         assert lookup(results, EMPTY_ASSIGNMENT) == ComputationTyping(leaf(UNIT_TYPE))
 
     def test_branch_sub_derivations_of_one_way(self):
@@ -279,7 +279,7 @@ class TestLiftedJudgments:
             leaf(Return(Var("a"))),
             leaf(Apply((), Boxed(meas), Var("a"))),
         )
-        results, _ = type_lifted_term(ctx({"a": QUBIT_TYPE}), mu)
+        results, _ = Checker().check_lifted_term(ctx({"a": QUBIT_TYPE}), mu)
         zero = lookup(results, a(u=0))
         one = lookup(results, a(u=1))
         assert zero.type == leaf(QUBIT_TYPE)
@@ -288,21 +288,16 @@ class TestLiftedJudgments:
     def test_shape_mismatch(self):
         mu = leaf(Return(Unit()))
         with pytest.raises(TypeCheckError) as err:
-            type_lifted_term(EMPTY_TYPING_CONTEXT, mu, expected_tree=LiftedNode("u", EMPTY_TREE, EMPTY_TREE))
+            Checker().check_lifted_term(EMPTY_TYPING_CONTEXT, mu, expected_tree=LiftedNode("u", EMPTY_TREE, EMPTY_TREE))
         assert err.value.kind == KIND_BRANCH_ARITY
 
 
 class TestMJudgmentBridge:
     def test_unit(self):
-        assert mjudgment_bridge(LabelContext(), Unit()) == UNIT_TYPE
+        assert type_mvalue(LabelContext(), Unit()) == UNIT_TYPE
 
     def test_label(self):
-        assert mjudgment_bridge(LabelContext.of({"l": BIT}), LabelVal("l")).wire == BIT
-
-    def test_lambda_rejected(self):
-        with pytest.raises(TypeCheckError) as err:
-            mjudgment_bridge(LabelContext(), Lam("x", UNIT_TYPE, Return(Var("x"))))
-        assert err.value.kind == KIND_NOT_AN_MVALUE
+        assert type_mvalue(LabelContext.of({"l": BIT}), LabelVal("l")).wire == BIT
 
     def test_agrees_with_type_value_on_mvalues(self):
         import random
@@ -314,10 +309,8 @@ class TestMJudgmentBridge:
             q = LabelContext.of(labels)
             names = list(labels)
             rng.shuffle(names)
-            from pqk.circuit import mtuple
-
             value = mtuple(names)
-            got = mjudgment_bridge(q, value)
+            got = type_mvalue(q, value)
             ty, leftover = type_value(TypingContext(labels=q), value)
             assert types_equal(ty, got)
             assert not leftover.labels
