@@ -9,8 +9,6 @@ metatheory fuzzer for subject reduction and progress (fuzz.py).
 """
 
 from .circuit import (
-    BIT,
-    QUBIT,
     BoxedCircuit,
     Circuit,
     CircuitSignature,
@@ -34,6 +32,7 @@ from .parser import (
     parse_value,
 )
 from .simulator import QuantumState, branch_distribution, branch_states, fidelity, simulate
+from .syntax import BIT, QUBIT
 from .trees import (
     Assignment,
     EMPTY_TREE,

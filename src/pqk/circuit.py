@@ -28,9 +28,9 @@ from .errors import (
 from .syntax import (
     BIT,
     BIT_TYPE,
-    QUBIT,
     QUBIT_TYPE,
     UNIT_TYPE,
+    CircType,
     LabelVal,
     Pair,
     PqkType,
@@ -466,12 +466,17 @@ class BoxedCircuit:
     """First-class circuit datum: input tuple, circuit, branch-indexed output tuples.
 
     The lifted variables of the tree are binding occurrences: `append`
-    instantiates them with fresh variables at every use.
+    instantiates them with fresh variables at every use.  A boxed circuit
+    carries its Circ type once the checker has typed it (see
+    `typecheck.Checker`), so each boxed circuit object is typed at most once;
+    a failed typing carries nothing.  The carried type takes no part in
+    equality or hashing.
     """
 
     in_tuple: Value  # a label tuple
     circuit: Circuit
     out_tuples: Lifted  # of label tuples
+    _circ_type: CircType | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def tree(self) -> Lifted:
@@ -487,23 +492,18 @@ class BoxedCircuit:
     __repr__ = __str__
 
 
-def rename_boxed(b: BoxedCircuit, rho: Renaming = IDENTITY, pi: Renaming = IDENTITY) -> BoxedCircuit:
-    """b with its labels renamed by rho and its lifted variables by pi."""
-    return BoxedCircuit(
-        rename_mvalue(b.in_tuple, rho),
-        rename_circuit(b.circuit, rho, pi),
-        rename_lifted(map_leaves(b.out_tuples, lambda v: rename_mvalue(v, rho)), pi),
-    )
-
-
 # ---------------------------------------------------------------------------
 # Insertion and append
 
 
-def insert(c: Circuit, a: Assignment, d: Circuit) -> Circuit:
+def insert(c: Circuit, a: Assignment, d: Circuit, rho: Renaming = IDENTITY, pi: Renaming = IDENTITY) -> Circuit:
     """Append d's instructions to c, each condition unioned with a (C ::_a D),
-    under c's gate set, or d's if c has no instructions (none to type)."""
-    added = tuple(_rewrite(ins, IDENTITY, IDENTITY, a) for ins in d.instructions)
+    under c's gate set, or d's if c has no instructions (none to type).
+
+    Each of d's instructions first has its labels renamed by rho and its
+    lifted variables by pi, in the same rewrite.
+    """
+    added = tuple(_rewrite(ins, rho, pi, a) for ins in d.instructions)
     return Circuit(c.input, c.instructions + added, c.gateset if c.instructions else d.gateset)
 
 
@@ -578,8 +578,10 @@ def append(
     Implements the three steps: pick an equivalent boxed circuit whose input
     tuple is `target` and whose other labels are fresh in c, instantiate its
     abstracted lifted variables with fresh_vars (positionally against the
-    sorted binder order), and insert the result on branch a.  Returns the new
-    circuit and the instantiated output tuples.
+    sorted binder order), and insert the result on branch a.  The three steps
+    are one rewrite of each body instruction (see `insert`): no renamed copy
+    of the boxed circuit is built.  Returns the new circuit and the
+    instantiated output tuples.
 
     The preconditions are checked against c's carried signature state, and
     the new circuit carries that state extended by the inserted instructions
@@ -633,18 +635,19 @@ def append(
             mapping[name] = fresh
     if len(set(mapping.values())) != len(mapping):
         raise PreconditionViolated("relabeling is not injective")
+    rho = Renaming(mapping)
 
-    # step 2: instantiate the abstracted lifted variables, in the same rebuild
+    # step 2: instantiate the abstracted lifted variables
     pi = Renaming(dict(zip(binders, fresh_vars)))
-    instance = rename_boxed(boxed, Renaming(mapping), pi)
 
-    # step 3: insert on branch a, extending the carried state by the new instructions
-    out = insert(c, a, instance.circuit)
+    # step 3: insert on branch a, with steps 1 and 2 in the same rewrite, and
+    # extend the carried state by the new instructions
+    out = insert(c, a, body, rho, pi)
     extended = state.copy()
     for ins in out.instructions[len(c.instructions):]:
         extend_signature(extended, ins, out.gateset)
     object.__setattr__(out, "_carried", extended)
-    return out, instance.out_tuples
+    return out, rename_lifted(map_leaves(boxed.out_tuples, lambda v: rename_mvalue(v, rho)), pi)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import random
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 from .errors import TypeCheckError
 from .interp import DEFAULT_FUEL, Done, EvalEnv, FuelExhausted, Stuck, run_closed
@@ -60,6 +60,7 @@ from .trees import (
 )
 from .typecheck import (
     Checker,
+    ComputationTyping,
     EMPTY_TYPING_CONTEXT,
     check_closed_term,
     typecheck_closed_right_config,
@@ -360,14 +361,16 @@ class Generator:
 
 
 def gen_corpus(cfg: GenConfig, count: int) -> list[Term]:
+    """count generated programs, each checked by the type checker."""
+    return [term for term, _ in _checked_programs(cfg, count)]
+
+
+def _checked_programs(cfg: GenConfig, count: int) -> Iterator[tuple[Term, ComputationTyping]]:
+    """gen_corpus's programs one at a time, each with its typing."""
     rng = random.Random(cfg.seed)
-    corpus = []
     for _ in range(count):
-        gen = Generator(cfg, rng)
-        term = gen.gen_closed(cfg.max_depth)
-        check_closed_term(term)
-        corpus.append(term)
-    return corpus
+        term = Generator(cfg, rng).gen_closed(cfg.max_depth)
+        yield term, check_closed_term(term)
 
 
 def count_lifting_applies(term) -> int:
@@ -510,18 +513,18 @@ class FuzzReport:
 def run_fuzz(cfg: GenConfig, count: int, fuel: int = DEFAULT_FUEL) -> FuzzReport:
     """Generate count programs and check subject reduction and progress on each.
 
-    Each program is type-checked and evaluated once; both verdicts read that
-    one outcome (evaluation is deterministic), and only a finding is shrunk.
+    The programs are gen_corpus's.  Each is type-checked once, as it is
+    generated, and evaluated once; both verdicts read that one typing and
+    that one outcome (evaluation is deterministic), and only a finding is
+    shrunk.
     """
-    corpus = gen_corpus(cfg, count)
     sr: list[Finding] = []
     progress: list[Finding] = []
     exhausted = 0
     with_lifts = 0
-    for term in corpus:
+    for term, expected in _checked_programs(cfg, count):
         if count_lifting_applies(term) > 0:
             with_lifts += 1
-        expected = check_closed_term(term)
         outcome = run_closed(term, EvalEnv(fuel=fuel))
         if isinstance(outcome, FuelExhausted):
             exhausted += 1

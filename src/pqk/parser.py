@@ -12,6 +12,7 @@ top-level ``circuit NAME = crl { ... }`` definitions.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -57,7 +58,6 @@ from .syntax import (
     Var,
     WireT,
     WireType,
-    _subst,
     format_type,
     is_mtype,
 )
@@ -132,6 +132,9 @@ class _Parser:
         self.tokens = tokenize(src)
         self.pos = 0
         self.gateset = gateset
+        # the program's circuit constants, and how many binders in scope shadow each name
+        self.constants: dict[str, Boxed] = {}
+        self.binders: Counter[str] = Counter()
 
     # -- token plumbing
 
@@ -188,6 +191,9 @@ class _Parser:
     # -- programs
 
     def parse_program(self) -> Program:
+        """The circuit constants, then the main term or value, in which every
+        use of a constant's name that no binder shadows is the constant's one
+        shared Boxed node."""
         circuits: dict[str, BoxedCircuit] = {}
         while self.at("circuit"):
             self.expect("circuit")
@@ -197,12 +203,11 @@ class _Parser:
             if name.text in circuits:
                 raise PqkSyntaxError(f"circuit {name.text} defined twice", name.line, name.col)
             circuits[name.text] = boxed
+        self.constants = {name: Boxed(boxed) for name, boxed in circuits.items()}
         main = self.parse_term_or_value()
         tok = self.peek()
         if tok.kind != "eof":
             raise PqkSyntaxError(f"trailing input starting at {tok.text!r}", tok.line, tok.col)
-        # one pass for every constant; they are closed, so no binder needs freshening
-        main = _subst(main, {name: Boxed(boxed) for name, boxed in circuits.items()})
         return Program(main, circuits)
 
     # -- terms
@@ -234,13 +239,19 @@ class _Parser:
                 self.expect("=")
                 value = self.parse_value()
                 self.expect("in")
+                self.binders[x] += 1
+                self.binders[y] += 1
                 body = self.parse_term()
+                self.binders[x] -= 1
+                self.binders[y] -= 1
                 return LetPair(x, y, value, body, span=tok.span)
             x = self.expect_ident("binder").text
             self.expect("=")
             bound = self.parse_term()
             self.expect("in")
+            self.binders[x] += 1
             branches = self.parse_lifted_term()
+            self.binders[x] -= 1
             return Let(x, bound, branches, span=tok.span)
         if self.accept("force"):
             return Force(self.parse_value(), span=tok.span)
@@ -327,7 +338,9 @@ class _Parser:
             ann = self.parse_type()
             self.expect(")")
             self.expect("->")
+            self.binders[x] += 1
             body = self.parse_term()
+            self.binders[x] -= 1
             return Lam(x, ann, body, span=tok.span)
         if self.accept("lift"):
             return LiftV(self.parse_term(), span=tok.span)
@@ -345,6 +358,8 @@ class _Parser:
             return value
         if self.at_ident():
             name = self.next()
+            if name.text in self.constants and not self.binders[name.text]:
+                return self.constants[name.text]
             return Var(name.text, span=name.span)
         self.fail(f"expected a value, found {tok.text!r}")
 

@@ -24,8 +24,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .circuit import (
-    BIT,
-    QUBIT,
     Circuit,
     CircuitSignature,
     GateApp,
@@ -35,6 +33,7 @@ from .circuit import (
     mvalue_labels,
 )
 from .errors import InvalidBranch, SimulationError, UnsupportedGate
+from .syntax import BIT, QUBIT
 from .trees import Assignment, lookup, path_set
 
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)

@@ -209,6 +209,14 @@ class Checker:
         return TensorType(left, right), ctx2
 
     def _check_boxed(self, b: BoxedCircuit, span=None) -> CircType:
+        """b's Circ type, computed on b's first successful typing and then carried by b."""
+        ty = b._circ_type
+        if ty is None:
+            ty = self._type_boxed(b, span)
+            object.__setattr__(b, "_circ_type", ty)
+        return ty
+
+    def _type_boxed(self, b: BoxedCircuit, span) -> CircType:
         try:
             sig = check_signature(b.circuit)
         except CircuitError as exc:

@@ -5,15 +5,13 @@ from __future__ import annotations
 import random
 
 from pqk.circuit import (
-    BIT,
-    QUBIT,
     Circuit,
     GateApp,
     LabelContext,
     LiftInstr,
     check_signature,
 )
-from pqk.syntax import LabelVal, Pair, Unit
+from pqk.syntax import BIT, QUBIT, LabelVal, Pair, Unit
 from pqk.trees import lookup, var_set
 
 from oracles import assignment_set, extending_paths

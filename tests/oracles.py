@@ -26,7 +26,8 @@ from pqk.circuit import (
     LabelContext,
     LiftInstr,
     mvalue_labels,
-    rename_boxed,
+    rename_circuit,
+    rename_mvalue,
 )
 from pqk.errors import InvalidBranch
 from pqk.syntax import LabelVal, Pair, Unit, Value, WireType
@@ -117,6 +118,15 @@ def rename_signature(sig: CircuitSignature, rho: Renaming = IDENTITY, pi: Renami
 
 # ---------------------------------------------------------------------------
 # Boxed circuits up to renaming of labels and abstracted lifted variables
+
+
+def rename_boxed(b: BoxedCircuit, rho: Renaming = IDENTITY, pi: Renaming = IDENTITY) -> BoxedCircuit:
+    """b with its labels renamed by rho and its lifted variables by pi."""
+    return BoxedCircuit(
+        rename_mvalue(b.in_tuple, rho),
+        rename_circuit(b.circuit, rho, pi),
+        rename_lifted(map_leaves(b.out_tuples, lambda v: rename_mvalue(v, rho)), pi),
+    )
 
 
 def _canonical_vars(b: BoxedCircuit) -> Renaming:

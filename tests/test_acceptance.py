@@ -19,10 +19,10 @@ import pytest
 from pqk.circuit import check_signature, rename_circuit
 from pqk.errors import VariableClash
 from pqk.fuzz import GenConfig, check_progress, check_sr, count_lifting_applies, gen_corpus
-from pqk.interp import Done, Stuck, run_closed
+from pqk.interp import Done, run_closed
 from pqk.parser import boxed_from_circuit, parse_circuit_text, parse_program, parse_type_text
 from pqk.simulator import QuantumState, branch_distribution, fidelity, simulate
-from pqk.syntax import Boxed, types_equal
+from pqk.syntax import Boxed
 from pqk.trees import (
     Assignment,
     EMPTY_ASSIGNMENT,
@@ -37,7 +37,7 @@ from pqk.trees import (
     path_set,
     to_map,
 )
-from pqk.typecheck import check_closed_term, check_closed_value, typecheck_closed_right_config
+from pqk.typecheck import check_closed_value
 
 from circuit_gen import random_circuit
 from oracles import assignment_set, boxed_equiv, flatten_map, graft_map, random_lifted, random_tree, rename_signature
@@ -137,7 +137,8 @@ class TestAcceptance:
         sig = check_signature(circuit)
         s_node = LiftedNode("s", EMPTY_TREE, EMPTY_TREE)
         assert sig.tree == LiftedNode("u", s_node, s_node)
-        from pqk.circuit import LabelContext, QUBIT
+        from pqk.circuit import LabelContext
+        from pqk.syntax import QUBIT
 
         assert lookup(sig.outputs, a(u=0, s=0)) == LabelContext.of({"b0": QUBIT})
         assert lookup(sig.outputs, a(u=0, s=1)) == LabelContext.of({"b1": QUBIT})

@@ -15,8 +15,6 @@ import pytest
 
 import pqk.circuit
 from pqk.circuit import (
-    BIT,
-    QUBIT,
     BoxedCircuit,
     Circuit,
     GateApp,
@@ -28,7 +26,7 @@ from pqk.circuit import (
 from pqk.errors import WrongWireType
 from pqk.interp import Done, EvalEnv, LeftConfig, Stuck, eval_config, run_closed
 from pqk.parser import parse_program
-from pqk.syntax import Apply, Boxed, LabelVal, Unit
+from pqk.syntax import BIT, QUBIT, Apply, Boxed, LabelVal, Unit
 from pqk.trees import EMPTY_ASSIGNMENT, LiftedNode, leaf, lookup, path_set, var_set
 from pqk.typecheck import check_closed_term
 

@@ -5,8 +5,6 @@ import random
 import pytest
 
 from pqk.circuit import (
-    BIT,
-    QUBIT,
     BoxedCircuit,
     Circuit,
     EMPTY_CONTEXT,
@@ -22,7 +20,6 @@ from pqk.circuit import (
     insert,
     mtuple,
     mvalue_labels,
-    rename_boxed,
     rename_circuit,
     type_mvalue,
 )
@@ -38,7 +35,7 @@ from pqk.errors import (
     UnknownGate,
     WrongWireType,
 )
-from pqk.syntax import BIT_TYPE, QUBIT_TYPE, UNIT_TYPE, LabelVal, Pair, TensorType, Unit
+from pqk.syntax import BIT, BIT_TYPE, QUBIT, QUBIT_TYPE, UNIT_TYPE, LabelVal, Pair, TensorType, Unit
 from pqk.trees import (
     EMPTY_ASSIGNMENT,
     EMPTY_TREE,
@@ -51,7 +48,7 @@ from pqk.trees import (
 )
 
 from circuit_gen import random_circuit
-from oracles import boxed_equiv, canonical_boxed, circuit_from_json, rename_signature
+from oracles import boxed_equiv, canonical_boxed, circuit_from_json, rename_boxed, rename_signature
 
 
 def a(**kw):

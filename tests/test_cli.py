@@ -28,15 +28,20 @@ apply(s, (a, b))
 """
 
 
-# A straight-line program of 400 `let`s: deeper than the parser, checker and
-# evaluator can recurse at the default recursion limit.
-DEEP_CHAIN_PROGRAM = "\n".join(
-    ["circuit INIT = crl { input(); Init0() -> q; }",
-     "circuit HAD = crl { input(l:Qubit); H(l) -> l2; }",
-     "let q = apply(INIT, *) in"]
-    + ["let q = apply(HAD, q) in"] * 400
-    + ["return q"]
-)
+def chain_program(lets: int) -> str:
+    """A straight-line program: one INIT, then `lets` Hadamards on the same name."""
+    return "\n".join(
+        ["circuit INIT = crl { input(); Init0() -> q; }",
+         "circuit HAD = crl { input(l:Qubit); H(l) -> l2; }",
+         "let q = apply(INIT, *) in"]
+        + ["let q = apply(HAD, q) in"] * lets
+        + ["return q"]
+    )
+
+
+# Deeper than the parser, checker and evaluator can recurse at the default
+# recursion limit.
+DEEP_CHAIN_PROGRAM = chain_program(2000)
 
 
 def run_cli(capsys, *argv):
@@ -277,6 +282,16 @@ class TestDepthLimit:
         assert code == 1
         assert err.startswith("error: program nested too deeply")
         assert "internal error" not in err
+
+    @pytest.mark.parametrize("command", ["check", "run"])
+    def test_400_lets_fit_the_default_limit(self, tmp_path, capsys, command):
+        # the parser resolves circuit constants as it reads them, with no
+        # whole-program substitution pass to recurse per `let`
+        chain = tmp_path / "chain400.pqk"
+        chain.write_text(chain_program(400))
+        code, out, err = run_cli(capsys, command, chain)
+        assert (code, err) == (0, "")
+        assert out
 
 
 class TestUsageErrors:

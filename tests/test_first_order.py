@@ -47,14 +47,14 @@ def test_no_second_copy_or_translation():
         assert not defined & (m_classes | gone), module.__name__
 
 
-# Names that only tests called; the JSON decoders and the canonical form of a
-# boxed circuit live on as reference code in tests/oracles.py.
+# Names that only tests called; the JSON decoders, the renaming and the
+# canonical form of a boxed circuit live on as reference code in tests/oracles.py.
 TEST_ONLY = {
     "alpha_equiv", "_alpha", "canonicalize_boxed_vars", "mjudgment_bridge",
     "KIND_NOT_AN_MVALUE", "type_lifted_term", "gen_well_typed",
     "circuit_from_json", "mvalue_from_json", "context_from_json",
     "assignment_from_json", "lifted_from_json",
-    "canonical_boxed", "boxed_equiv", "_canonical_vars",
+    "canonical_boxed", "boxed_equiv", "_canonical_vars", "rename_boxed",
 }
 
 

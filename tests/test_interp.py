@@ -2,13 +2,10 @@ from __future__ import annotations
 
 import pathlib
 
-import pytest
-
 from pqk.circuit import (
     Circuit,
     LiftInstr,
     LabelContext,
-    QUBIT,
     check_signature,
     format_circuit,
 )
@@ -23,7 +20,7 @@ from pqk.interp import (
     run_closed,
 )
 from pqk.parser import boxed_from_circuit, parse_circuit_text, parse_program
-from pqk.syntax import Boxed, LabelVal, Force, Return, Unit, format_lifted_value, substitute
+from pqk.syntax import QUBIT, Boxed, LabelVal, Force, Return, Unit, substitute
 from pqk.trees import EMPTY_ASSIGNMENT, Assignment, LiftedNode, EMPTY_TREE, leaf, lookup, path_set
 from pqk.typecheck import check_closed_term, typecheck_closed_right_config
 

@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 
 import pqk.simulator
-from pqk.circuit import LabelContext, QUBIT, BIT, check_signature
+from pqk.circuit import LabelContext, check_signature
 from pqk.errors import SimulationError, UnsupportedGate
 from pqk.fuzz import GenConfig, gen_corpus
 from pqk.interp import Done, EvalEnv, run_closed
 from pqk.parser import parse_circuit_text
+from pqk.syntax import BIT, QUBIT
 from pqk.simulator import (
     QuantumState,
     branch_distribution,

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from pqk.circuit import BoxedCircuit, Circuit, GateApp, LabelContext, QUBIT
+from pqk.circuit import Circuit, GateApp, LabelContext
 from pqk.errors import PqkSyntaxError
 from pqk.parser import (
     boxed_from_circuit,
@@ -30,6 +30,7 @@ from pqk.syntax import (
     LetPair,
     LiftV,
     Pair,
+    QUBIT,
     QUBIT_TYPE,
     BIT_TYPE,
     Return,
@@ -199,6 +200,64 @@ class TestCircuitDefs:
     def test_bad_circuit_literal(self):
         with pytest.raises(PqkSyntaxError):
             parse_term("apply(crl { input(l:Qubit); H(l) -> l; }, q)")
+
+
+RESOLVE_HEADER = (
+    "circuit HAD = crl { input(l:Qubit); H(l) -> l2; }\n"
+    "circuit ML = crl { input(l:Qubit); Meas(l) -> b; lift(b) => u; }\n"
+)
+
+
+class TestParseTimeResolution:
+    """A constant's name resolves while parsing, unless a binder in scope shadows it."""
+
+    def parse(self, src):
+        prog = parse_program(RESOLVE_HEADER + src)
+        return prog.main, Boxed(prog.circuits["HAD"]), Boxed(prog.circuits["ML"])
+
+    def test_rebound_by_let(self):
+        # the binder scopes over the branches, not over the bound term
+        t, had, _ = self.parse("let HAD = apply(HAD, q) in return HAD")
+        assert t == Let("HAD", Apply((), had, Var("q")), leaf(Return(Var("HAD"))))
+
+    def test_rebound_by_pair_destructor(self):
+        t, had, _ = self.parse("let (HAD, k) = (HAD, q) in apply(HAD, k)")
+        assert t == LetPair("HAD", "k", Pair(had, Var("q")), Apply((), Var("HAD"), Var("k")))
+
+    def test_rebound_by_lambda_and_used_after_its_scope(self):
+        t, had, _ = self.parse("(fun (HAD : Qubit) -> return HAD) HAD")
+        assert t == App(lam("HAD", QUBIT_TYPE, ret(Var("HAD"))), had)
+
+    def test_used_after_a_let_scope_ends(self):
+        t, had, _ = self.parse("let x = (let HAD = return q in return HAD) in apply(HAD, x)")
+        inner = Let("HAD", Return(Var("q")), leaf(Return(Var("HAD"))))
+        assert t == Let("x", inner, leaf(Apply((), had, Var("x"))))
+
+    def test_both_case_arms(self):
+        t, had, ml = self.parse(
+            "let x = apply[u](ML, q) in"
+            " case u { 0 => apply(HAD, x) | 1 => let HAD = return x in return HAD }"
+        )
+        arms = LiftedNode(
+            "u",
+            leaf(Apply((), had, Var("x"))),
+            leaf(Let("HAD", Return(Var("x")), leaf(Return(Var("HAD"))))),
+        )
+        assert t == Let("x", Apply(("u",), ml, Var("q")), arms)
+
+    def test_under_when(self):
+        t, had, ml = self.parse("let x = apply[u](ML, q) in when u = 1 do apply(HAD, x)")
+        arms = LiftedNode("u", leaf(Return(Var("x"))), leaf(Apply((), had, Var("x"))))
+        assert t == Let("x", Apply(("u",), ml, Var("q")), arms)
+        t, _, _ = self.parse("let x = apply[u](ML, q) in when u = 0 do (fun (HAD : Qubit) -> return HAD) x")
+        shadowed = App(lam("HAD", QUBIT_TYPE, ret(Var("HAD"))), Var("x"))
+        assert t.branches == LiftedNode("u", leaf(shadowed), leaf(Return(Var("x"))))
+
+    def test_uses_share_one_boxed_circuit(self):
+        prog = parse_program(RESOLVE_HEADER + "let x = apply(HAD, q) in apply(HAD, x)")
+        first, second = prog.main.bound.boxed, prog.main.branches.value.boxed
+        assert first is second
+        assert first.boxed is prog.circuits["HAD"]
 
 
 class TestFreeNames:

@@ -5,8 +5,6 @@ import pathlib
 import pytest
 
 from pqk.circuit import (
-    BIT,
-    QUBIT,
     Circuit,
     GateApp,
     LabelContext,
@@ -28,12 +26,14 @@ from pqk.parser import boxed_from_circuit, parse_program, parse_term, parse_type
 from pqk.syntax import (
     Apply,
     BangType,
+    BIT,
     BIT_TYPE,
     Boxed,
     LabelVal,
     Lam,
     LiftV,
     Pair,
+    QUBIT,
     QUBIT_TYPE,
     Return,
     Term,
