@@ -14,7 +14,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from . import trees
 from .circuit import (
@@ -75,6 +75,9 @@ KEYWORDS = {
     "Unit", "Bit", "Qubit", "Circ",
 }
 
+# The keywords that start a term; any other term is an application of two values.
+TERM_KEYWORDS = ("let", "force", "box", "apply", "return")
+
 _TOKEN_RE = re.compile(
     r"""
     (?P<ws>\s+|//[^\n]*)
@@ -82,14 +85,14 @@ _TOKEN_RE = re.compile(
   | (?P<genlabel>%\d+)
   | (?P<number>\d+)
   | (?P<sym>=>|->|-o|[()\[\]{}<>!*,;:?|=])
+  | (?P<bad>.)
     """,
     re.VERBOSE,
 )
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # ident | number | sym | eof
+class Token(NamedTuple):
+    kind: str  # ident | genlabel | number | sym | eof
     text: str
     line: int
     col: int
@@ -100,25 +103,24 @@ class Token:
 
 
 def tokenize(src: str) -> list[Token]:
+    """src's tokens, then two eof tokens (text "") at the end of input: the
+    parser looks at most one token ahead and never moves past an eof."""
     tokens = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(src):
-        m = _TOKEN_RE.match(src, pos)
-        if m is None:
-            raise PqkSyntaxError(f"unexpected character {src[pos]!r}", line, col)
-        text = m.group(0)
-        if m.lastgroup != "ws":
-            tokens.append(Token(m.lastgroup, text, line, col))
-        newlines = text.count("\n")
-        if newlines:
-            line += newlines
-            col = len(text) - text.rfind("\n")
-        else:
-            col += len(text)
-        pos = m.end()
-    tokens.append(Token("eof", "", line, col))
-    return tokens
+    line, line_start = 1, 0  # line_start: the offset just after the last newline
+    for m in _TOKEN_RE.finditer(src):
+        kind, text = m.lastgroup, m.group()
+        if kind == "ws":
+            newlines = text.count("\n")
+            if newlines:
+                line += newlines
+                line_start = m.start() + text.rfind("\n") + 1
+            continue
+        col = m.start() - line_start + 1
+        if kind == "bad":
+            raise PqkSyntaxError(f"unexpected character {text!r}", line, col)
+        tokens.append(Token(kind, text, line, col))
+    eof = Token("eof", "", line, len(src) - line_start + 1)
+    return tokens + [eof, eof]
 
 
 @dataclass
@@ -139,7 +141,7 @@ class _Parser:
     # -- token plumbing
 
     def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+        return self.tokens[self.pos + ahead]
 
     def next(self) -> Token:
         tok = self.peek()
@@ -147,7 +149,7 @@ class _Parser:
         return tok
 
     def at(self, text: str) -> bool:
-        return self.peek().text == text and self.peek().kind != "eof"
+        return self.peek().text == text
 
     def at_ident(self) -> bool:
         return self.peek().kind == "ident" and self.peek().text not in KEYWORDS
@@ -160,7 +162,7 @@ class _Parser:
 
     def expect(self, text: str) -> Token:
         tok = self.peek()
-        if tok.text != text or tok.kind == "eof":
+        if tok.text != text:
             raise PqkSyntaxError(f"expected {text!r}, found {tok.text!r}", tok.line, tok.col)
         return self.next()
 
@@ -195,8 +197,7 @@ class _Parser:
         use of a constant's name that no binder shadows is the constant's one
         shared Boxed node."""
         circuits: dict[str, BoxedCircuit] = {}
-        while self.at("circuit"):
-            self.expect("circuit")
+        while self.accept("circuit"):
             name = self.expect_ident("circuit name")
             self.expect("=")
             boxed = self.parse_crl_literal()
@@ -204,17 +205,13 @@ class _Parser:
                 raise PqkSyntaxError(f"circuit {name.text} defined twice", name.line, name.col)
             circuits[name.text] = boxed
         self.constants = {name: Boxed(boxed) for name, boxed in circuits.items()}
-        main = self.parse_term_or_value()
-        tok = self.peek()
-        if tok.kind != "eof":
-            raise PqkSyntaxError(f"trailing input starting at {tok.text!r}", tok.line, tok.col)
-        return Program(main, circuits)
+        return Program(self.parse_term_or_value(), circuits)
 
     # -- terms
 
     def parse_term_or_value(self):
         tok = self.peek()
-        if tok.text in ("let", "force", "box", "apply", "return"):
+        if tok.text in TERM_KEYWORDS:
             return self.parse_term()
         value = self.parse_value()
         if self._at_value_atom():
@@ -224,14 +221,13 @@ class _Parser:
 
     def parse_term(self) -> Term:
         tok = self.peek()
-        if self.at("(") and self.peek(1).text in ("let", "force", "box", "apply", "return"):
+        if self.at("(") and self.peek(1).text in TERM_KEYWORDS:
             self.expect("(")
             inner = self.parse_term()
             self.expect(")")
             return inner
         if self.accept("let"):
-            if self.at("("):
-                self.expect("(")
+            if self.accept("("):
                 x = self.expect_ident("binder").text
                 self.expect(",")
                 y = self.expect_ident("binder").text
@@ -250,7 +246,11 @@ class _Parser:
             bound = self.parse_term()
             self.expect("in")
             self.binders[x] += 1
-            branches = self.parse_lifted_term()
+            # a plain continuation is read in this frame: one frame per `let`
+            if self.at("case") or self.at("when"):
+                branches = self.parse_lifted_term()
+            else:
+                branches = leaf(self.parse_term())
             self.binders[x] -= 1
             return Let(x, bound, branches, span=tok.span)
         if self.accept("force"):
@@ -276,12 +276,10 @@ class _Parser:
             return Apply(vars_, boxed, arg, span=tok.span)
         if self.accept("return"):
             return Return(self.parse_value(), span=tok.span)
-        # application of two values
-        fn = self.parse_value()
-        if not self._at_value_atom():
+        term = self.parse_term_or_value()
+        if not isinstance(term, App):
             self.fail("expected a term (a bare value needs `return`)")
-        arg = self.parse_value_atom()
-        return App(fn, arg, span=tok.span)
+        return term
 
     def parse_lifted_term(self) -> Lifted:
         tok = self.peek()
@@ -314,9 +312,7 @@ class _Parser:
         return leaf(self.parse_term())
 
     def _when_other_branch(self, body: Term, tok: Token) -> Term:
-        if isinstance(body, Apply):
-            return Return(body.arg)
-        if isinstance(body, App):
+        if isinstance(body, (Apply, App)):
             return Return(body.arg)
         raise PqkSyntaxError(
             "`when` sugar only applies to an application; write an explicit case",
@@ -562,8 +558,18 @@ def boxed_from_circuit(circuit: Circuit) -> BoxedCircuit:
 # Entry points
 
 
+def _parse_whole(src: str, parse: Callable[[_Parser], Any], gateset: GateSet = DEFAULT_GATES) -> Any:
+    """parse all of src: what parse reads, followed by the end of input."""
+    p = _Parser(src, gateset)
+    out = parse(p)
+    tok = p.peek()
+    if tok.kind != "eof":
+        raise PqkSyntaxError(f"trailing input starting at {tok.text!r}", tok.line, tok.col)
+    return out
+
+
 def parse_program(src: str, gateset: GateSet = DEFAULT_GATES) -> Program:
-    return _Parser(src, gateset).parse_program()
+    return _parse_whole(src, _Parser.parse_program, gateset)
 
 
 def parse_term(src: str, gateset: GateSet = DEFAULT_GATES) -> Term:
@@ -578,16 +584,6 @@ def parse_value(src: str, gateset: GateSet = DEFAULT_GATES) -> Value:
     if not isinstance(parsed, Value):
         raise PqkSyntaxError("expected a value, found a term")
     return parsed
-
-
-def _parse_whole(src: str, parse: Callable[[_Parser], Any], gateset: GateSet = DEFAULT_GATES) -> Any:
-    """parse all of src: what parse reads, followed by the end of input."""
-    p = _Parser(src, gateset)
-    out = parse(p)
-    tok = p.peek()
-    if tok.kind != "eof":
-        raise PqkSyntaxError(f"trailing input {tok.text!r}", tok.line, tok.col)
-    return out
 
 
 def parse_circuit_text(src: str, gateset: GateSet = DEFAULT_GATES) -> Circuit:

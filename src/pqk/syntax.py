@@ -602,7 +602,11 @@ def format_term(m: Term) -> str:
     if isinstance(m, App):
         return f"{_value_atom(m.fn)} {_value_atom(m.arg)}"
     if isinstance(m, Let):
-        branches = _format_lifted_term(m.branches)
+        # a leaf continuation is formatted in this frame: one frame per `let`
+        if isinstance(m.branches, LiftedLeaf):
+            branches = format_term(m.branches.value)
+        else:
+            branches = _format_lifted_term(m.branches)
         return f"let {m.var} = {format_term(m.bound)} in {branches}"
     if isinstance(m, LetPair):
         return f"let ({m.var1}, {m.var2}) = {format_value(m.value)} in {format_term(m.body)}"

@@ -97,35 +97,26 @@ EMPTY_ASSIGNMENT = Assignment.of()
 
 
 # ---------------------------------------------------------------------------
-# Renamings (finite-support permutations of a name space)
+# Renamings
 
 
 class Renaming:
-    """Finite-support permutation of names.
+    """Injective renaming of names; a name the mapping leaves out is kept.
 
-    Built from an injective mapping; completed to a permutation by pairing the
-    unmatched values back onto the unmatched keys in sorted order (so a single
-    pair u->s completes to the swap u<->s).
+    Callers map every name of the object they rename, so the renamed object's
+    names stay distinct without completing the mapping to a permutation.
     """
 
     def __init__(self, mapping: Mapping[str, str]):
-        values = list(mapping.values())
-        if len(set(values)) != len(values):
+        if len(set(mapping.values())) != len(mapping):
             raise ValueError("renaming is not injective")
-        perm = dict(mapping)
-        loose_values = [v for v in values if v not in mapping]
-        loose_keys = [k for k in mapping if k not in set(values)]
-        for v, k in zip(sorted(loose_values, key=var_sort_key), sorted(loose_keys, key=var_sort_key)):
-            perm[v] = k
-        if sorted(perm) != sorted(perm.values()):
-            raise ValueError("mapping does not complete to a permutation")
-        self._perm = {k: v for k, v in perm.items() if k != v}
+        self._map = {k: v for k, v in mapping.items() if k != v}
 
     def __call__(self, name: str) -> str:
-        return self._perm.get(name, name)
+        return self._map.get(name, name)
 
     def __repr__(self) -> str:
-        inner = ", ".join(f"{v}/{k}" for k, v in sorted(self._perm.items()))
+        inner = ", ".join(f"{v}/{k}" for k, v in sorted(self._map.items()))
         return f"Renaming({inner})"
 
 

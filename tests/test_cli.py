@@ -283,13 +283,27 @@ class TestDepthLimit:
         assert err.startswith("error: program nested too deeply")
         assert "internal error" not in err
 
-    @pytest.mark.parametrize("command", ["check", "run"])
-    def test_400_lets_fit_the_default_limit(self, tmp_path, capsys, command):
-        # the parser resolves circuit constants as it reads them, with no
-        # whole-program substitution pass to recurse per `let`
-        chain = tmp_path / "chain400.pqk"
-        chain.write_text(chain_program(400))
+    @pytest.mark.parametrize("command", ["check", "run", "sim", "circuit"])
+    def test_800_lets_fit_the_default_limit(self, tmp_path, capsys, command):
+        # the parser and the printer take one frame per `let`, and the parser
+        # resolves circuit constants as it reads them
+        chain = tmp_path / "chain800.pqk"
+        chain.write_text(chain_program(800))
         code, out, err = run_cli(capsys, command, chain)
+        assert (code, err) == (0, "")
+        assert out
+
+    @pytest.mark.parametrize("command", ["check", "run"])
+    def test_800_let_function_prints_at_the_default_limit(self, tmp_path, capsys, command):
+        # `run` prints the function value, whose body is the whole chain
+        program = tmp_path / "fun800.pqk"
+        program.write_text("\n".join(
+            ["circuit HAD = crl { input(l:Qubit); H(l) -> l2; }",
+             "return fun (q : Qubit) ->"]
+            + ["let q = apply(HAD, q) in"] * 800
+            + ["return q"]
+        ))
+        code, out, err = run_cli(capsys, command, program)
         assert (code, err) == (0, "")
         assert out
 

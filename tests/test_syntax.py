@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import pathlib
 import random
 
 import pytest
@@ -14,6 +15,7 @@ from pqk.parser import (
     parse_term,
     parse_type_text,
     parse_value,
+    tokenize,
 )
 from pqk.syntax import (
     App,
@@ -107,6 +109,34 @@ class TestParseBasics:
             parse_term("let x = = in return *")
         assert err.value.line == 1
         assert err.value.col > 0
+
+    @pytest.mark.parametrize("src, line, col", [
+        ("// comment\nreturn $", 2, 8),
+        ("return *\n\n\n  @", 4, 3),
+        ("return\t#", 1, 8),
+    ])
+    def test_unexpected_character_position(self, src, line, col):
+        with pytest.raises(PqkSyntaxError, match="unexpected character") as err:
+            parse_term(src)
+        assert (err.value.line, err.value.col) == (line, col)
+
+    @pytest.mark.parametrize("src, line, col", [
+        ("let x = return * in", 1, 20),
+        ("let x = return * in\n  ", 2, 3),
+        ("apply(f", 1, 8),
+    ])
+    def test_end_of_input_position(self, src, line, col):
+        with pytest.raises(PqkSyntaxError, match="expected") as err:
+            parse_term(src)
+        assert (err.value.line, err.value.col) == (line, col)
+
+    def test_first_token_positions_of_a_program(self):
+        src = (pathlib.Path(__file__).resolve().parent.parent / "programs" / "teleport_box.pqk").read_text()
+        got = [(t.kind, t.text, t.line, t.col) for t in tokenize(src)[:6]]
+        assert got == [
+            ("ident", "circuit", 3, 1), ("ident", "CNOTC", 3, 9), ("sym", "=", 3, 15),
+            ("ident", "crl", 3, 17), ("sym", "{", 3, 21), ("ident", "input", 3, 23),
+        ]
 
     def test_when_sugar(self):
         t = parse_term("let x = return * in when u = 1 do apply(f, y)")
@@ -498,8 +528,6 @@ class TestRoundTrip:
             assert parse_type_text(format_type(t)) == t
 
     def test_fixture_programs_round_trip(self):
-        import pathlib
-
         programs = pathlib.Path(__file__).resolve().parent.parent / "programs"
         for path in sorted(programs.glob("*.pqk")):
             if "bad" in path.name:

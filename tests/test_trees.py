@@ -248,7 +248,7 @@ class TestRenaming:
         for _ in range(50):
             t = random_tree(rng, pool, 4)
             pi = Renaming({"u": "x1", "s": "x2", "w": "x3"})
-            # the completed permutation also maps x1 -> s, x2 -> u, x3 -> w
+            # the pool has no x names, so renaming back by the inverse mapping restores t
             inverse = Renaming({"x1": "u", "x2": "s", "x3": "w"})
             assert rename_lifted(rename_lifted(t, pi), inverse) == t
 
